@@ -10,11 +10,12 @@ what the CLI's --verify mode replays.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CertificateVerificationError
 from .groebner import Ideal
+from .relcm import CdGradeReport
 
 
 class Route(Enum):
@@ -93,12 +94,19 @@ class CMFiltration:
 
 @dataclass(frozen=True)
 class SeqCMVerdict:
-    """Decision plus certificate; when false, the first failing level index (1-based)."""
+    """Decision plus certificate; when false, the first failing level index (1-based).
+
+    ``report`` is the cd/grade report of S/I itself, which
+    :func:`seqcm.filtration.is_seq_cm` computes first, routes by and sets
+    on every verdict it returns; other deciders leave it None.  It is not
+    part of the certificate and takes no part in comparisons.
+    """
 
     decision: bool
     filtration: CMFiltration
     route: Route
     offending_level: int | None = None
+    report: CdGradeReport | None = field(default=None, compare=False)
 
     def __post_init__(self):
         if self.decision and not all(l.relative_cm for l in self.filtration.levels):
@@ -107,3 +115,24 @@ class SeqCMVerdict:
             )
         if self.decision and self.offending_level is not None:
             raise CertificateVerificationError("positive verdict with offending level")
+
+
+def single_level_verdict(
+    I: Ideal, block, report: CdGradeReport, route: Route
+) -> SeqCMVerdict:
+    """The verdict whose chain is I ⊊ (1): S/I is the only quotient, so the
+    decision is whether S/I itself is relative CM."""
+    level = FiltrationLevel(
+        ideal=Ideal.unit(I.ring),
+        cd=report.cd,
+        grade=report.grade,
+        relative_cm=report.relative_cm,
+        regular_sequence=report.regular_sequence,
+        verify=VerifySpec.cyclic(I),
+    )
+    return SeqCMVerdict(
+        decision=report.relative_cm,
+        filtration=CMFiltration(block=block, base=I, levels=(level,)),
+        route=route,
+        offending_level=None if report.relative_cm else 1,
+    )

@@ -314,7 +314,7 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
         ]
     elif command == "seqcm":
         verdict = is_seq_cm(ideal, block, seed)
-        report = is_relative_cm(pair, block, seed)
+        report = verdict.report  # cd, grade and relative_cm are seed independent
         doc["invariants"].update(
             {"cd": report.cd, "grade": report.grade, "relative_cm": report.relative_cm}
         )
@@ -413,8 +413,9 @@ def verify_certificate(doc: dict) -> list:
                 if not decomposition.is_unmixed():
                     problems.append(f"{tag}: pair denominator is mixed")
                     continue
+                # Stop at the cd recomputed from b, never at the claimed one.
                 cd = decomposition.components[0].cd_value
-                witness = grade_wrt(IdealPair(a, b), block, seed)
+                witness = grade_wrt(IdealPair(a, b), block, seed, _stop=cd)
                 got = (cd, witness.grade, witness.grade == cd)
             elif spec["kind"] == "h0":
                 base = _parse_ideal(ring, spec["of"])

@@ -21,7 +21,7 @@ cd <= 1) are rejected loudly: a wrong verdict is worse than no verdict.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .certificates import (
     CMFiltration,
@@ -29,6 +29,7 @@ from .certificates import (
     Route,
     SeqCMVerdict,
     VerifySpec,
+    single_level_verdict,
 )
 from .errors import (
     CertificateVerificationError,
@@ -38,14 +39,7 @@ from .errors import (
 )
 from .groebner import Ideal, _minimal_monomials, saturation
 from .poly import Polynomial, mono_divides, mono_lcm, mono_support
-from .relcm import (
-    CdGradeReport,
-    IdealPair,
-    VariableBlock,
-    cd_subquotient,
-    grade_wrt,
-    is_relative_cm,
-)
+from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
 
 # ---- monomial primary decomposition ------------------------------------------------
 
@@ -297,27 +291,6 @@ def _cyclic_report(I: Ideal, block: VariableBlock, seed: int) -> CdGradeReport:
     return is_relative_cm(IdealPair.cyclic(I), block, seed)
 
 
-def _single_level_verdict(
-    I: Ideal, block: VariableBlock, report: CdGradeReport, route: Route
-) -> SeqCMVerdict:
-    ring = I.ring
-    level = FiltrationLevel(
-        ideal=Ideal.unit(ring),
-        cd=report.cd,
-        grade=report.grade,
-        relative_cm=report.relative_cm,
-        regular_sequence=report.regular_sequence,
-        verify=VerifySpec.cyclic(I),
-    )
-    filtration = CMFiltration(block=block, base=I, levels=(level,))
-    return SeqCMVerdict(
-        decision=report.relative_cm,
-        filtration=filtration,
-        route=route,
-        offending_level=None if report.relative_cm else 1,
-    )
-
-
 def _cd_le_1_verdict(
     I: Ideal, block: VariableBlock, seed: int, report: CdGradeReport
 ) -> SeqCMVerdict:
@@ -367,23 +340,17 @@ def _monomial_verdict(
             # Unmixed: the single quotient is S/I itself, already measured.
             level_report = report
             verify = VerifySpec.cyclic(I)
-            witness = report.regular_sequence
         else:
             pair = IdealPair(d_ideal + e_ideal, e_ideal, _trusted=True)
-            cd = cd_subquotient(pair, block, quotient_unmixed=True)
-            if cd != piece.cd_value:
-                raise CertificateVerificationError(
-                    f"level cd {cd} disagrees with component cd {piece.cd_value}"
-                )
-            witness_data = grade_wrt(pair, block, _level_seed(seed, index))
-            level_report = CdGradeReport(
-                cd=cd,
-                grade=witness_data.grade,
-                relative_cm=witness_data.grade == cd,
-                regular_sequence=witness_data.regular_sequence,
+            level_report = is_relative_cm(
+                pair, block, _level_seed(seed, index), quotient_unmixed=True
             )
+            if level_report.cd != piece.cd_value:
+                raise CertificateVerificationError(
+                    f"level cd {level_report.cd} disagrees with component cd "
+                    f"{piece.cd_value}"
+                )
             verify = VerifySpec.pair(d_ideal + e_ideal, e_ideal)
-            witness = witness_data.regular_sequence
         if not level_report.relative_cm and offending is None:
             offending = index + 1
         levels.append(
@@ -392,7 +359,7 @@ def _monomial_verdict(
                 cd=piece.cd_value,
                 grade=level_report.grade,
                 relative_cm=level_report.relative_cm,
-                regular_sequence=witness,
+                regular_sequence=level_report.regular_sequence,
                 verify=verify,
                 associated_primes=tuple(c.radical for c in piece.components),
             )
@@ -424,8 +391,15 @@ def is_seq_cm(I: Ideal, block: VariableBlock, seed: int = 0) -> SeqCMVerdict:
     if I.is_unit_ideal():
         raise UnitIdealError("S/I is the zero module")
     report = _cyclic_report(I, block, _level_seed(seed, 0))
+    return replace(_routed_verdict(I, block, seed, report), report=report)
+
+
+def _routed_verdict(
+    I: Ideal, block: VariableBlock, seed: int, report: CdGradeReport
+) -> SeqCMVerdict:
+    """The verdict on S/I along the route its cyclic report selects."""
     if report.relative_cm:
-        return _single_level_verdict(I, block, report, Route.RELATIVE_CM)
+        return single_level_verdict(I, block, report, Route.RELATIVE_CM)
     if report.cd <= 1:
         return _cd_le_1_verdict(I, block, seed, report)
     if I.is_monomial_ideal():
@@ -440,7 +414,7 @@ def is_seq_cm(I: Ideal, block: VariableBlock, seed: int = 0) -> SeqCMVerdict:
             )
         from .hypersurface import classify_hypersurface
 
-        return classify_hypersurface(gens[0], block, seed)
+        return classify_hypersurface(gens[0], block, seed, _report=report)
     raise UnsupportedIdealClassError(
         "supported classes: monomial ideals, principal bihomogeneous ideals, "
         "or any ideal with cd <= 1"

@@ -26,6 +26,7 @@ from .certificates import (
     Route,
     SeqCMVerdict,
     VerifySpec,
+    single_level_verdict,
 )
 from .errors import (
     CertificateVerificationError,
@@ -34,7 +35,7 @@ from .errors import (
 )
 from .groebner import Ideal
 from .poly import BigradedRing, Polynomial
-from .relcm import IdealPair, VariableBlock, is_relative_cm
+from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
 
 
 @dataclass(frozen=True)
@@ -250,7 +251,11 @@ def _two_level_certificate(
 
 
 def classify_hypersurface(
-    f: Polynomial, block: VariableBlock, seed: int = 0
+    f: Polynomial,
+    block: VariableBlock,
+    seed: int = 0,
+    *,
+    _report: CdGradeReport | None = None,
 ) -> SeqCMVerdict:
     """Sequential Cohen-Macaulayness of S/fS with respect to P or Q.
 
@@ -258,52 +263,26 @@ def classify_hypersurface(
     b = 0) yield a one-level certificate (the ring is relative CM); a mixed
     split yields the verified two-level chain; no split yields a negative
     verdict whose single level records grade < cd of the ring itself.
+
+    ``_report`` is the cyclic cd/grade report of S/fS for the block, passed
+    by :func:`seqcm.filtration.is_seq_cm`, which has already computed it.
     """
     if block is VariableBlock.M:
         raise ValueError("classification applies to the P and Q blocks")
     a, b = f.bidegree()
     I = _proper_principal(f)
     split = rank_one_split(f)
-    if split is None:
-        report = is_relative_cm(IdealPair.cyclic(I), block, seed)
-        if report.relative_cm:
+    if split is None or a == 0 or b == 0:
+        report = _report or is_relative_cm(IdealPair.cyclic(I), block, seed)
+        if split is None and report.relative_cm:
             raise CertificateVerificationError(
                 "rank >= 2 hypersurface measured as relative CM"
             )
-        ring = f.ring
-        level = FiltrationLevel(
-            ideal=Ideal.unit(ring),
-            cd=report.cd,
-            grade=report.grade,
-            relative_cm=False,
-            regular_sequence=report.regular_sequence,
-            verify=VerifySpec.cyclic(I),
-        )
-        filtration = CMFiltration(block=block, base=I, levels=(level,))
-        return SeqCMVerdict(
-            decision=False,
-            filtration=filtration,
-            route=Route.HYPERSURFACE_RANK1,
-            offending_level=1,
-        )
-    if a == 0 or b == 0:
-        report = is_relative_cm(IdealPair.cyclic(I), block, seed)
-        if not report.relative_cm:
+        if split is not None and not report.relative_cm:
             raise CertificateVerificationError(
                 "one-sided hypersurface must be relative CM"
             )
-        level = FiltrationLevel(
-            ideal=Ideal.unit(f.ring),
-            cd=report.cd,
-            grade=report.grade,
-            relative_cm=True,
-            regular_sequence=report.regular_sequence,
-            verify=VerifySpec.cyclic(I),
-        )
-        filtration = CMFiltration(block=block, base=I, levels=(level,))
-        return SeqCMVerdict(
-            decision=True, filtration=filtration, route=Route.HYPERSURFACE_RANK1
-        )
+        return single_level_verdict(I, block, report, Route.HYPERSURFACE_RANK1)
     candidates = (
         ((split.h1, split.h2), (split.h2, split.h1))
         if block is VariableBlock.Q

@@ -13,6 +13,15 @@ one exists whenever the grade is positive (prime avoidance), which is why
 the search is complete there.  Over a small prime field the search can
 exhaust; use the rationals or a large prime.
 
+Each step of the search draws candidate forms; once two have failed, H^0 of
+the current quotient is decided exactly, and a nonzero H^0 ends the search.
+That exact decision keeps grade seed independent.  grade <= cd holds for
+every nonzero graded module (bigraded for P and Q), so
+:func:`is_relative_cm`, which computes cd first, stops the search as soon as
+the sequence has cd forms: the terminal step could only have proven
+H^0 != 0.  cd is read off dimension only for such modules, so
+:func:`is_relative_cm` rejects any other input.
+
 The regular-element test is (B : l) ∩ A ⊆ B, a pure Groebner computation.
 For cyclic homogeneous modules the test is accelerated by a linear change of
 coordinates sending l to the last variable, where regularity is visible on
@@ -29,6 +38,7 @@ from enum import Enum
 from .errors import (
     CertificateVerificationError,
     NoRegularFormError,
+    NotBihomogeneousError,
     UndecidableByRulesError,
     ZeroModuleError,
 )
@@ -36,7 +46,7 @@ from .groebner import Ideal, ideal_quotient, intersect, krull_dim
 from .poly import BigradedRing, Polynomial
 
 RETRY_BUDGET = 32
-_EXACT_H0_AFTER = 3  # candidate failures tolerated before deciding H^0 exactly
+_EXACT_H0_AFTER = 1  # decide H^0 exactly once two candidates have failed
 
 
 class VariableBlock(Enum):
@@ -112,6 +122,13 @@ class IdealPair:
     def mod_form(self, ell: Polynomial) -> "IdealPair":
         """The pair for (A/B)/(l·(A/B)) = A/(B + l·A)."""
         return IdealPair(self.a, self.b + self.a.scaled_by(ell), _trusted=True)
+
+    def is_graded_for(self, block: "VariableBlock") -> bool:
+        """Whether A/B is bigraded (for P and Q) or graded (for m), which is
+        what the cd formulas and the bound grade <= cd need."""
+        if block is VariableBlock.M:
+            return self.a.is_homogeneous() and self.b.is_homogeneous()
+        return all(g.is_bihomogeneous() for g in self.a.gens + self.b.gens)
 
     def block_swapped(self) -> "IdealPair":
         target = self.ring.swapped()
@@ -309,19 +326,16 @@ def find_regular_linear_form(
 def _search_regular_form(pair, block, rng, *, check_h0: bool):
     """Regular form for one grade step, or None once H^0 != 0 is proven.
 
-    When ``check_h0`` is set, an exact saturation test decides H^0 after a
-    few failed candidates (immediately when it is combinatorial), keeping the
-    grade value itself seed independent.
+    When ``check_h0`` is set, an exact test decides H^0 once
+    ``_EXACT_H0_AFTER + 1`` candidates have failed, keeping the grade value
+    itself seed independent.  A regular form drawn before that skips the
+    test: it proves H^0 = 0 on its own.
     """
     ring = pair.ring
     indices = block.variable_indices(ring)
     if not indices:
         return None  # zero block: H^0 is the whole (nonzero) module
     h0_known_zero = False
-    if check_h0 and pair.b.is_monomial_ideal() and pair.is_cyclic():
-        if not h0_is_zero(pair, block):
-            return None
-        h0_known_zero = True
     prefer_last = pair.b.is_homogeneous()
     for attempt in range(RETRY_BUDGET):
         span = 1 + attempt
@@ -340,34 +354,48 @@ def _search_regular_form(pair, block, rng, *, check_h0: bool):
     )
 
 
-def grade_wrt(pair: IdealPair, block: VariableBlock, seed: int = 0) -> GradeWitness:
+def grade_wrt(
+    pair: IdealPair, block: VariableBlock, seed: int = 0, *, _stop: int | None = None
+) -> GradeWitness:
     """grade(block, A/B) with the regular sequence that witnesses it.
 
     Zero when H^0 is nonzero; otherwise one more than the grade of
-    A/(B + l·A) for a regular linear form l.  The returned value is seed
-    independent (H^0 is decided exactly at every step); only the witness
-    depends on the seed.
+    A/(B + l·A) for a regular linear form l.  The search runs until H^0 of
+    the remaining quotient is proven nonzero, bounded only by the block
+    size.  The returned value is seed independent (H^0 is decided exactly
+    whenever a step ends); only the witness depends on the seed.
+
+    ``_stop`` (for callers that know cd, such as :func:`is_relative_cm`)
+    ends the search once the sequence has that many forms.  Since
+    grade <= cd, a search stopped at cd skips only the terminal step, which
+    could do nothing but prove H^0 != 0; the forms drawn before it come from
+    the same stream, so the witness is unchanged.  The bound grade <= cd
+    holds only for modules graded for the block (bigraded for P and Q), so
+    any other pair ignores ``_stop`` and runs the full search.
     """
     if pair.is_zero_module():
         raise ZeroModuleError("grade of the zero module is undefined")
+    if _stop is not None and not pair.is_graded_for(block):
+        _stop = None
     if block is VariableBlock.P and pair.ring.m >= 1:
-        inner = grade_wrt(pair.block_swapped(), VariableBlock.Q, seed)
+        inner = grade_wrt(pair.block_swapped(), VariableBlock.Q, seed, _stop=_stop)
         back = tuple(f.block_swapped(pair.ring) for f in inner.regular_sequence)
         return GradeWitness(inner.grade, back)
     rng = random.Random(seed)
     current = pair
     sequence = []
     bound = len(block.variable_indices(pair.ring))
-    while True:
+    while _stop is None or len(sequence) < _stop:
         ell = _search_regular_form(current, block, rng, check_h0=True)
         if ell is None:
-            return GradeWitness(len(sequence), tuple(sequence))
+            break
         sequence.append(ell)
         current = current.mod_form(ell)
         if len(sequence) > bound:
             raise NoRegularFormError(
                 "regular sequence exceeded the block size; inconsistent state"
             )
+    return GradeWitness(len(sequence), tuple(sequence))
 
 
 def is_relative_cm(
@@ -377,9 +405,24 @@ def is_relative_cm(
     *,
     quotient_unmixed: bool = False,
 ) -> CdGradeReport:
-    """grade, cd, and the relative Cohen-Macaulay verdict grade == cd."""
+    """grade, cd, and the relative Cohen-Macaulay verdict grade == cd.
+
+    cd comes first and bounds the grade search: grade <= cd holds for every
+    nonzero graded module, so once the regular sequence has cd forms the
+    verdict is known and the terminal search (failed candidates plus an
+    exact H^0 proof) is skipped.  The grade and regular sequence equal those
+    of an unstopped :func:`grade_wrt` with the same seed.
+
+    Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
+    the m block): cd's dimension formula and grade <= cd hold only then.
+    """
+    if not pair.is_graded_for(block):
+        raise NotBihomogeneousError(
+            f"the module is not graded for the block {block.value}; relative CM "
+            "is decided for bigraded modules (graded ones for m)"
+        )
     cd = cd_subquotient(pair, block, quotient_unmixed=quotient_unmixed)
-    witness = grade_wrt(pair, block, seed)
+    witness = grade_wrt(pair, block, seed, _stop=cd)
     return CdGradeReport(
         cd=cd,
         grade=witness.grade,

@@ -79,6 +79,14 @@ class TestExitCodes:
         assert code == 2
         assert "unsupported" in err
 
+    def test_non_bigraded_relcm_is_two(self, tmp_path, capsys):
+        for ideal in ("x1 - y1", "y1 - 1"):
+            path = write_problem(tmp_path, f"ring m=1 n=1 field=QQ\nideal {ideal}\n")
+            for command in ("relcm", "seqcm"):
+                code, out, err = run_cli(capsys, command, path, "--wrt", "Q")
+                assert code == 2
+                assert "not graded" in err and out == ""
+
     def test_parse_error_is_three(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x3\n")
         code, _, err = run_cli(capsys, "seqcm", path)

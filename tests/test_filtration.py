@@ -20,7 +20,8 @@ from seqcm.filtration import (
 )
 from seqcm.groebner import Ideal, ideal_quotient
 from seqcm.poly import BigradedRing, mono_degree
-from seqcm.relcm import IdealPair, VariableBlock, cd_wrt, grade_wrt
+from seqcm.hypersurface import classify_hypersurface
+from seqcm.relcm import IdealPair, VariableBlock, cd_wrt, grade_wrt, is_relative_cm
 
 P, Q, M = VariableBlock.P, VariableBlock.Q, VariableBlock.M
 
@@ -246,6 +247,75 @@ class TestSeqCmRouting:
                     continue
                 assert grade_wrt(pair, Q).grade == c1
         assert seen >= 2
+
+
+class TestLevelGradeSearch:
+    """Each level's grade search stops at cd; the full search must agree."""
+
+    def test_pair_levels_match_full_search(self, R22):
+        from seqcm.filtration import _level_seed
+
+        rng = random.Random(304)
+        compared = 0
+        for _ in range(15):
+            I = random_monomial_ideal(rng, R22, max_gens=3)
+            if I.is_unit_ideal():
+                continue
+            for block in (P, Q, M):
+                for seed in (0, 1):
+                    verdict = is_seq_cm(I, block, seed)
+                    for index, level in enumerate(verdict.filtration.levels):
+                        if level.verify.kind != "pair":
+                            continue
+                        pair = IdealPair(level.verify.pair_a, level.verify.pair_b)
+                        full = grade_wrt(pair, block, _level_seed(seed, index))
+                        assert level.grade == full.grade
+                        assert level.regular_sequence == full.regular_sequence
+                        assert level.relative_cm == (full.grade == level.cd)
+                        compared += 1
+        assert compared >= 20
+
+    def test_verdict_carries_the_cyclic_report(self, R22, segre_quadric):
+        rng = random.Random(305)
+        ideals = [Ideal(R22, (segre_quadric,)), Ideal(R22, (R22.parse("x1*y1 + x2*y1"),))]
+        ideals += [random_monomial_ideal(rng, R22, max_gens=3) for _ in range(8)]
+        for I in ideals:
+            if I.is_unit_ideal():
+                continue
+            for block in (P, Q):
+                for seed in (0, 1):
+                    report = is_seq_cm(I, block, seed).report
+                    direct = is_relative_cm(IdealPair.cyclic(I), block, seed)
+                    assert (report.cd, report.grade, report.relative_cm) == (
+                        direct.cd, direct.grade, direct.relative_cm
+                    )
+
+    def test_hypersurface_route_reuses_the_report(self, R22, segre_quadric):
+        """At seed 0 the handed-over report is the one classify_hypersurface
+        would draw, so the documents agree; at other seeds it comes from the
+        level-0 seed, so only the witness may differ."""
+        from seqcm.cli import _verdict_doc
+
+        def invariants(verdict):
+            return (verdict.decision, verdict.route, verdict.offending_level) + tuple(
+                (l.cd, l.grade, l.relative_cm, l.verify.kind)
+                for l in verdict.filtration.levels
+            )
+
+        routed = 0
+        for f in (segre_quadric, R22.parse("x1*y1 + x2*y1"), R22.parse("y1^2 + y1*y2")):
+            for block in (P, Q):
+                for seed in (0, 3):
+                    verdict = is_seq_cm(Ideal(R22, (f,)), block, seed)
+                    if verdict.route is not Route.HYPERSURFACE_RANK1:
+                        continue
+                    direct = classify_hypersurface(f, block, seed)
+                    assert invariants(verdict) == invariants(direct)
+                    if seed == 0:
+                        assert _verdict_doc(verdict) == _verdict_doc(direct)
+                    assert verdict.report is not None and direct.report is None
+                    routed += 1
+        assert routed >= 8
 
 
 class TestAssociatedPrimes:

@@ -6,9 +6,11 @@ import pytest
 from helpers import random_monomial_ideal, slow_is_regular
 from seqcm.errors import (
     NoRegularFormError,
+    NotBihomogeneousError,
     UndecidableByRulesError,
     ZeroModuleError,
 )
+from seqcm.filtration import is_seq_cm
 from seqcm.groebner import Ideal, krull_dim
 from seqcm.poly import BigradedRing, Polynomial
 from seqcm.relcm import (
@@ -189,6 +191,93 @@ class TestGrade:
     def test_depth_specializes_to_classical(self, R22):
         # depth = grade of the full variable block; on a polynomial ring it is dim.
         assert grade_wrt(IdealPair.cyclic(Ideal.zero(R22)), M).grade == 4
+
+
+class TestGradeStopsAtCd:
+    """is_relative_cm stops the grade search at cd; grade_wrt does not."""
+
+    def test_matches_full_search_on_random_suites(self, R22):
+        ring = BigradedRing(2, 2)
+        cases = []
+        for suite_seed, max_gens in ((55, 4), (2001, 3)):
+            rng = random.Random(suite_seed)
+            for _ in range(12):
+                I = random_monomial_ideal(rng, ring, max_gens=max_gens)
+                if not I.is_unit_ideal():
+                    cases.append(IdealPair.cyclic(I))
+        rng = random.Random(88)
+        for _ in range(8):  # the non-cyclic pairs of the grade recursion
+            b = random_monomial_ideal(rng, ring, max_gens=3)
+            a = b + random_monomial_ideal(rng, ring, max_gens=2)
+            pair = IdealPair(a, b, _trusted=True)
+            if not a.is_unit_ideal() and not pair.is_zero_module():
+                cases.append(pair)
+        compared = 0
+        for pair in cases:
+            for block in (P, Q, M):
+                unmixed = not pair.is_cyclic()
+                try:
+                    cd_subquotient(pair, block, quotient_unmixed=unmixed)
+                except UndecidableByRulesError:
+                    continue
+                for seed in (0, 1):
+                    report = is_relative_cm(pair, block, seed, quotient_unmixed=unmixed)
+                    full = grade_wrt(pair, block, seed)
+                    assert report.grade == full.grade
+                    assert report.regular_sequence == full.regular_sequence
+                    compared += 1
+        assert compared >= 100
+
+    def test_relative_cm_module_needs_no_h0_decision(
+        self, monkeypatch, R22, two_planes_ideal
+    ):
+        """A stopped search decides H^0 only in a step whose first two
+        candidates failed; the full search always pays one more H^0
+        decision, the terminal one.  On S/(x1*x2) every nonzero y-form is
+        regular, so w.r.t. Q no step ever fails.  Two planes are relative CM
+        of cd 1 for P and Q; seed 0 draws two zerodivisors first, seeds 1
+        and 2 do not."""
+        import seqcm.relcm as relcm
+
+        calls = []
+
+        def counting(pair, block):
+            calls.append(block)
+            return h0_is_zero(pair, block)
+
+        monkeypatch.setattr(relcm, "h0_is_zero", counting)
+        cases = [(Ideal(R22, (R22.parse("x1*x2"),)), Q, 2, (0, 0, 0))]
+        cases += [(two_planes_ideal, block, 1, (1, 0, 0)) for block in (P, Q)]
+        for ideal, block, cd, expected in cases:
+            pair = IdealPair.cyclic(ideal)
+            for seed, stopped_calls in zip((0, 1, 2), expected):
+                calls.clear()
+                report = is_relative_cm(pair, block, seed)
+                assert report.relative_cm and report.grade == cd
+                assert len(calls) == stopped_calls
+                calls.clear()
+                assert grade_wrt(pair, block, seed).grade == cd
+                assert len(calls) == stopped_calls + 1
+
+    def test_non_bigraded_input_is_rejected(self):
+        """cd(Q, S/I) = dim S/(I + P) needs a bigraded module.  For
+        I = (x1 - y1) it reads 0, while y1 is regular on S/I ≅ K[t]; a
+        search stopped at that cd would call S/I relative CM."""
+        ring = BigradedRing(1, 1)
+        for text in ("x1 - y1", "y1 - 1"):
+            I = Ideal(ring, (ring.parse(text),))
+            pair = IdealPair.cyclic(I)
+            for block in (P, Q):
+                with pytest.raises(NotBihomogeneousError):
+                    is_relative_cm(pair, block)
+                with pytest.raises(NotBihomogeneousError):
+                    is_seq_cm(I, block)
+        pair = IdealPair.cyclic(Ideal(ring, (ring.parse("x1 - y1"),)))
+        assert cd_wrt(pair.b, Q) == 0
+        assert grade_wrt(pair, Q).grade == 1
+        assert grade_wrt(pair, Q, _stop=0).grade == 1  # the stop is ignored
+        report = is_relative_cm(pair, M)  # graded, so decided: S/I is CM
+        assert (report.cd, report.grade, report.relative_cm) == (1, 1, True)
 
 
 class TestCdSubquotient:
