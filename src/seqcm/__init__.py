@@ -47,12 +47,10 @@ from .groebner import (
     Ideal,
     buchberger,
     exact_div,
-    ideal_membership,
     ideal_quotient,
     intersect,
     krull_dim,
     normal_form,
-    s_polynomial,
     saturation,
 )
 from .hypersurface import (

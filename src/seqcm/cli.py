@@ -12,7 +12,9 @@ emits a machine-readable result document (deterministic for a fixed input
 and seed) and uses the exit codes
 
     0  the computation finished (negative mathematical verdicts included)
-    2  the ideal class is not supported by the requested command
+    2  the ideal class is not supported by the requested command (cd,
+       grade, depth, relcm and seqcm need a bigraded ideal, a homogeneous
+       one for the m block)
     3  the problem file failed to parse
 
 ``--verify`` replays each certificate level from the emitted document alone
@@ -22,6 +24,7 @@ and fails loudly on any disagreement.
 from __future__ import annotations
 
 import argparse
+import functools
 import hashlib
 import json
 import sys
@@ -47,7 +50,7 @@ from .filtration import (
     tensor_split_check,
 )
 from .groebner import Ideal, krull_dim, saturation
-from .hypersurface import classify_hypersurface, hypersurface_stats, rank_one_split
+from .hypersurface import classify_hypersurface, hypersurface_stats
 from .poly import BigradedRing, parse_polynomial
 from .relcm import (
     IdealPair,
@@ -330,16 +333,16 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
             )
         f = ideal.gens[0]
         stats = hypersurface_stats(f, seed)
-        verdict = classify_hypersurface(f, block, seed)
-        split = rank_one_split(f)
+        verdict = classify_hypersurface(f, block, seed, _report=stats)
+        split = stats.split
         doc["invariants"].update(
             {
                 "a": stats.a,
                 "b": stats.b,
-                "grade_P": stats.grade_p,
-                "cd_P": stats.cd_p,
-                "grade_Q": stats.grade_q,
-                "cd_Q": stats.cd_q,
+                "grade_P": stats.report_p.grade,
+                "cd_P": stats.report_p.cd,
+                "grade_Q": stats.report_q.grade,
+                "cd_Q": stats.report_q.cd,
             }
         )
         doc["split"] = (
@@ -475,6 +478,7 @@ def render_document(doc: dict, fmt: str) -> str:
 # ---- entry point -----------------------------------------------------------------------
 
 
+@functools.cache  # parsing does not change the parser; build it once per process
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqcm",

@@ -37,8 +37,14 @@ from .errors import (
     UnitIdealError,
     UnsupportedIdealClassError,
 )
-from .groebner import Ideal, _minimal_monomials, saturation
-from .poly import Polynomial, mono_divides, mono_lcm, mono_support
+from .groebner import (
+    Ideal,
+    _intersect_monomials,
+    _minimal_monomials,
+    _monomial_ideal,
+    saturation,
+)
+from .poly import Polynomial, mono_divides, mono_support
 from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
 
 # ---- monomial primary decomposition ------------------------------------------------
@@ -70,19 +76,6 @@ class PrimaryDecomposition:
 
     def is_unmixed(self) -> bool:
         return len(self.cd_values()) == 1
-
-
-def _monomials_of(I: Ideal) -> tuple:
-    return I.minimal_monomial_generators()
-
-
-def _ideal_from_monomials(ring, monos) -> Ideal:
-    one = ring.field.one
-    return Ideal(ring, tuple(Polynomial._raw(ring, {m: one}) for m in monos))
-
-
-def _intersect_monomials(a: tuple, b: tuple) -> tuple:
-    return _minimal_monomials(mono_lcm(u, v) for u in a for v in b)
 
 
 def _variable_prime(ring, variables) -> Ideal:
@@ -185,19 +178,23 @@ def monomial_primary_decomposition(
 
     components = []
     for rad in radicals:
-        primary = _ideal_from_monomials(ring, by_radical[rad])
+        primary = _monomial_ideal(ring, by_radical[rad])
         radical = _variable_prime(ring, rad)
         components.append(
             PrimaryComponent(primary, radical, cd_of_prime(radical, block))
         )
     components.sort(
-        key=lambda c: (c.cd_value, sorted(c.variables), _monomials_of(c.primary))
+        key=lambda c: (
+            c.cd_value,
+            sorted(c.variables),
+            c.primary.minimal_monomial_generators(),
+        )
     )
 
     # The intersection of the components must reproduce the input exactly.
     total = None
     for comp in components:
-        monos = _monomials_of(comp.primary)
+        monos = comp.primary.minimal_monomial_generators()
         total = monos if total is None else _intersect_monomials(total, monos)
     if tuple(total) != tuple(_minimal_monomials(e for g in I.gens for e in g.terms)):
         raise CertificateVerificationError(
@@ -256,10 +253,10 @@ def dimension_filtration(I: Ideal, block: VariableBlock) -> DimensionFiltration:
         )
         e_monos = None
         for comp in level_comps:
-            monos = _monomials_of(comp.primary)
+            monos = comp.primary.minimal_monomial_generators()
             e_monos = monos if e_monos is None else _intersect_monomials(e_monos, monos)
         slices.append(
-            FiltrationSlice(c, _ideal_from_monomials(ring, e_monos), level_comps)
+            FiltrationSlice(c, _monomial_ideal(ring, e_monos), level_comps)
         )
     for idx in range(len(values)):
         above = [
@@ -270,9 +267,9 @@ def dimension_filtration(I: Ideal, block: VariableBlock) -> DimensionFiltration:
         else:
             monos = None
             for comp in above:
-                mm = _monomials_of(comp.primary)
+                mm = comp.primary.minimal_monomial_generators()
                 monos = mm if monos is None else _intersect_monomials(monos, mm)
-            d_ideal = _ideal_from_monomials(ring, monos)
+            d_ideal = _monomial_ideal(ring, monos)
         chain.append(d_ideal)
     for lower, upper in zip(chain, chain[1:]):
         if not upper.contains_ideal(lower) or upper.equals(lower):

@@ -145,12 +145,6 @@ def _spoly_terms(f: Polynomial, g: Polynomial, keyfn) -> dict:
     return out
 
 
-def s_polynomial(f: Polynomial, g: Polynomial, order: MonomialOrder | None = None) -> Polynomial:
-    ring = f.ring
-    keyfn = (order or ring.order).sort_key(ring.nvars)
-    return Polynomial._raw(ring, _spoly_terms(f.monic(keyfn), g.monic(keyfn), keyfn))
-
-
 def _update_pairs(G: list, lms: list, B: list, h: Polynomial, keyfn):
     """Gebauer-Moller pair update: append h to G, prune and extend B.
 
@@ -405,11 +399,6 @@ class Ideal:
         return f"Ideal({inside})"
 
 
-def ideal_membership(f: Polynomial, I: Ideal) -> bool:
-    """True iff the normal form of f against the reduced basis of I vanishes."""
-    return I.contains(f)
-
-
 # ---- elimination-based calculus ---------------------------------------------------
 
 
@@ -424,12 +413,15 @@ def _eliminate_first_aux(ring_ext: BigradedRing, gens: list, ring: BigradedRing)
     return Ideal(ring, kept)
 
 
-def _monomial_intersect(I: Ideal, J: Ideal) -> Ideal:
-    a = I.minimal_monomial_generators()
-    b = J.minimal_monomial_generators()
-    one = I.ring.field.one
-    monos = _minimal_monomials(mono_lcm(u, v) for u in a for v in b)
-    return Ideal(I.ring, tuple(Polynomial._raw(I.ring, {m: one}) for m in monos))
+def _monomial_ideal(ring: BigradedRing, monos) -> Ideal:
+    one = ring.field.one
+    return Ideal(ring, tuple(Polynomial._raw(ring, {m: one}) for m in monos))
+
+
+def _intersect_monomials(a: tuple, b: tuple) -> tuple:
+    """Minimal generators of the intersection of two monomial ideals, given
+    by theirs: the minimal pairwise lcms."""
+    return _minimal_monomials(mono_lcm(u, v) for u in a for v in b)
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
@@ -443,7 +435,12 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     if I.is_zero_ideal() or J.is_zero_ideal():
         return Ideal.zero(I.ring)
     if I.is_monomial_ideal() and J.is_monomial_ideal():
-        return _monomial_intersect(I, J)
+        return _monomial_ideal(
+            I.ring,
+            _intersect_monomials(
+                I.minimal_monomial_generators(), J.minimal_monomial_generators()
+            ),
+        )
     ring = I.ring
     ext = ring.extended(1)
     t = ext.gen(0)
@@ -504,12 +501,11 @@ def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
         return Ideal.unit(I.ring)
     if I.is_monomial_ideal() and f.is_monomial():
         (fe,) = f.terms
-        one = I.ring.field.one
         monos = _minimal_monomials(
             tuple(max(a - b, 0) for a, b in zip(m, fe))
             for m in I.minimal_monomial_generators()
         )
-        return Ideal(I.ring, tuple(Polynomial._raw(I.ring, {m: one}) for m in monos))
+        return _monomial_ideal(I.ring, monos)
     v = _as_variable_index(f)
     if v is not None and I.is_homogeneous():
         return colon_by_variable(I, v)

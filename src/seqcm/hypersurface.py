@@ -174,12 +174,17 @@ def rank_one_split(f: Polynomial):
 
 @dataclass(frozen=True)
 class HypersurfaceReport:
+    """Bidegree (a, b), the rank-one split (None when rank >= 2) and the
+    cyclic cd/grade reports of S/fS for both blocks."""
+
     a: int
     b: int
-    grade_p: int
-    cd_p: int
-    grade_q: int
-    cd_q: int
+    split: SplitWitness | None
+    report_p: CdGradeReport
+    report_q: CdGradeReport
+
+    def report(self, block: VariableBlock) -> CdGradeReport:
+        return self.report_p if block is VariableBlock.P else self.report_q
 
 
 def _proper_principal(f: Polynomial) -> Ideal:
@@ -191,24 +196,20 @@ def _proper_principal(f: Polynomial) -> Ideal:
 
 
 def hypersurface_stats(f: Polynomial, seed: int = 0) -> HypersurfaceReport:
-    """Bidegree plus grade/cd for both blocks of S/fS.
+    """Bidegree, rank-one split, and grade/cd for both blocks of S/fS.
 
     For a nonzero bihomogeneous f of bidegree (a, b): a = 0 gives
     (cd_P, cd_Q) = (m, n-1) with both blocks relative CM, b = 0 the mirror,
     and a, b > 0 gives grade exactly one below cd on both sides.
     """
     a, b = f.bidegree()
-    I = _proper_principal(f)
-    pair = IdealPair.cyclic(I)
-    rep_p = is_relative_cm(pair, VariableBlock.P, seed)
-    rep_q = is_relative_cm(pair, VariableBlock.Q, seed)
+    pair = IdealPair.cyclic(_proper_principal(f))
     return HypersurfaceReport(
         a=a,
         b=b,
-        grade_p=rep_p.grade,
-        cd_p=rep_p.cd,
-        grade_q=rep_q.grade,
-        cd_q=rep_q.cd,
+        split=rank_one_split(f),
+        report_p=is_relative_cm(pair, VariableBlock.P, seed),
+        report_q=is_relative_cm(pair, VariableBlock.Q, seed),
     )
 
 
@@ -255,7 +256,7 @@ def classify_hypersurface(
     block: VariableBlock,
     seed: int = 0,
     *,
-    _report: CdGradeReport | None = None,
+    _report: CdGradeReport | HypersurfaceReport | None = None,
 ) -> SeqCMVerdict:
     """Sequential Cohen-Macaulayness of S/fS with respect to P or Q.
 
@@ -264,16 +265,21 @@ def classify_hypersurface(
     split yields the verified two-level chain; no split yields a negative
     verdict whose single level records grade < cd of the ring itself.
 
-    ``_report`` is the cyclic cd/grade report of S/fS for the block, passed
-    by :func:`seqcm.filtration.is_seq_cm`, which has already computed it.
+    ``_report`` is work the caller has already done on S/fS:
+    :func:`seqcm.filtration.is_seq_cm` passes the block's cyclic cd/grade
+    report, and the CLI passes the :class:`HypersurfaceReport` of
+    :func:`hypersurface_stats`, whose split is reused as well.
     """
     if block is VariableBlock.M:
         raise ValueError("classification applies to the P and Q blocks")
     a, b = f.bidegree()
     I = _proper_principal(f)
-    split = rank_one_split(f)
+    if isinstance(_report, HypersurfaceReport):
+        split, report = _report.split, _report.report(block)
+    else:
+        split, report = rank_one_split(f), _report
     if split is None or a == 0 or b == 0:
-        report = _report or is_relative_cm(IdealPair.cyclic(I), block, seed)
+        report = report or is_relative_cm(IdealPair.cyclic(I), block, seed)
         if split is None and report.relative_cm:
             raise CertificateVerificationError(
                 "rank >= 2 hypersurface measured as relative CM"

@@ -1,4 +1,4 @@
-"""Global monomial orders: grevlex, lex, and block elimination orders.
+"""Global monomial orders: grevlex and block elimination orders.
 
 An order is exposed as a sort key on exponent tuples, so ``max(terms,
 key=order.sort_key(nvars))`` picks the leading monomial.  All orders here are
@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 GREVLEX = "grevlex"
-LEX = "lex"
 ELIMINATE = "block-eliminate"
 
 
@@ -25,9 +24,10 @@ class MonomialOrder:
 
     ``block-eliminate`` compares the first ``block`` variables grevlex-first,
     so it eliminates those leading (auxiliary) variables.  ``last_var``
-    selects an internal grevlex variant with one chosen variable rotated to
-    the smallest position; it is plain grevlex after relabeling and exists
-    for the colon-by-variable fast path.
+    selects a grevlex variant with one chosen variable rotated to the
+    smallest position; it is plain grevlex after relabeling, and it puts any
+    variable where the colon-by-variable and regular-form fast paths read it
+    off the initial ideal.
     """
 
     tag: str = GREVLEX
@@ -37,10 +37,6 @@ class MonomialOrder:
     @classmethod
     def grevlex(cls) -> "MonomialOrder":
         return cls(GREVLEX)
-
-    @classmethod
-    def lex(cls) -> "MonomialOrder":
-        return cls(LEX)
 
     @classmethod
     def eliminate(cls, block: int) -> "MonomialOrder":
@@ -54,8 +50,6 @@ class MonomialOrder:
 
     def sort_key(self, nvars: int):
         """Return a key function on exponent tuples of length ``nvars``."""
-        if self.tag == LEX:
-            return lambda e: e
         if self.tag == ELIMINATE:
             k = self.block
             if k >= nvars:

@@ -50,10 +50,6 @@ def mono_lcm(u: Monomial, v: Monomial) -> Monomial:
     return tuple(max(a, b) for a, b in zip(u, v))
 
 
-def mono_gcd(u: Monomial, v: Monomial) -> Monomial:
-    return tuple(min(a, b) for a, b in zip(u, v))
-
-
 def mono_degree(u: Monomial) -> int:
     return sum(u)
 
@@ -169,12 +165,6 @@ class BigradedRing:
     def extended(self, extra: int = 1) -> "BigradedRing":
         """Same ring with ``extra`` more aux slots prepended (for elimination)."""
         return BigradedRing(self.m, self.n, self.field, self.order, self.aux + extra)
-
-    def swapped(self) -> "BigradedRing":
-        """The ring with the x and y blocks exchanged (needs m >= 1, aux == 0)."""
-        if self.aux or self.m < 1:
-            raise ValueError("block swap needs aux == 0 and m >= 1")
-        return BigradedRing(self.n, self.m, self.field, self.order)
 
     def key(self):
         return (self.m, self.n, self.aux, self.field.name, self.order)
@@ -387,16 +377,6 @@ class Polynomial:
             if any(e[:drop]):
                 raise ValueError("polynomial still involves aux variables")
             terms[e[drop:]] = c
-        return Polynomial._raw(target, terms)
-
-    def block_swapped(self, target: BigradedRing) -> "Polynomial":
-        """Image under the ring isomorphism exchanging the x and y blocks."""
-        r = self.ring
-        if (target.m, target.n) != (r.n, r.m) or r.aux or target.aux:
-            raise RingMismatchError("target must be the swapped ring")
-        terms = {}
-        for e, c in self.terms.items():
-            terms[e[r.m :] + e[: r.m]] = c
         return Polynomial._raw(target, terms)
 
     # ---- equality / hashing / printing -----------------------------------------

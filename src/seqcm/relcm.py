@@ -20,13 +20,17 @@ every nonzero graded module (bigraded for P and Q), so
 :func:`is_relative_cm`, which computes cd first, stops the search as soon as
 the sequence has cd forms: the terminal step could only have proven
 H^0 != 0.  cd is read off dimension only for such modules, so
-:func:`is_relative_cm` rejects any other input.
+:func:`cd_wrt`, :func:`grade_wrt` and :func:`is_relative_cm` reject any
+other input.
 
 The regular-element test is (B : l) ∩ A ⊆ B, a pure Groebner computation.
-For cyclic homogeneous modules the test is accelerated by a linear change of
-coordinates sending l to the last variable, where regularity is visible on
-the initial ideal; the elimination-based test remains the reference and the
-two are compared in the test suite.
+For homogeneous B and linear l the test is accelerated by a linear change
+of coordinates sending l to its pivot, the largest-index variable it
+involves; with the pivot last in grevlex, regularity is visible on the
+initial ideal (Bayer-Stillman).  The P, Q and m blocks share this one
+coordinate path: a drawn form's pivot is its block's last variable.  The
+elimination-based test remains the reference and the two are compared in
+the test suite.
 """
 
 from __future__ import annotations
@@ -42,7 +46,8 @@ from .errors import (
     UndecidableByRulesError,
     ZeroModuleError,
 )
-from .groebner import Ideal, ideal_quotient, intersect, krull_dim
+from .groebner import Ideal, colon_by_variable, ideal_quotient, intersect, krull_dim
+from .orders import MonomialOrder
 from .poly import BigradedRing, Polynomial
 
 RETRY_BUDGET = 32
@@ -80,13 +85,6 @@ class VariableBlock(Enum):
         if self is VariableBlock.Q:
             return VariableBlock.P.ideal(ring)
         return Ideal.zero(ring)
-
-    def swapped(self) -> "VariableBlock":
-        if self is VariableBlock.P:
-            return VariableBlock.Q
-        if self is VariableBlock.Q:
-            return VariableBlock.P
-        return self
 
 
 class IdealPair:
@@ -130,11 +128,6 @@ class IdealPair:
             return self.a.is_homogeneous() and self.b.is_homogeneous()
         return all(g.is_bihomogeneous() for g in self.a.gens + self.b.gens)
 
-    def block_swapped(self) -> "IdealPair":
-        target = self.ring.swapped()
-        swap = lambda ideal: Ideal(target, tuple(g.block_swapped(target) for g in ideal.gens))
-        return IdealPair(swap(self.a), swap(self.b), _trusted=True)
-
     def __repr__(self):
         return f"IdealPair(A={self.a!r}, B={self.b!r})"
 
@@ -162,8 +155,19 @@ class CdGradeReport:
 # ---- cohomological dimension ------------------------------------------------------
 
 
+def _require_graded(pair: IdealPair, block: VariableBlock) -> None:
+    """Reject A/B unless it is bigraded (graded for the m block): cd's
+    dimension formula and the bound grade <= cd hold only then."""
+    if not pair.is_graded_for(block):
+        raise NotBihomogeneousError(
+            f"the module is not graded for the block {block.value}; cd and grade "
+            "are decided for bigraded modules (graded ones for m)"
+        )
+
+
 def cd_wrt(I: Ideal, block: VariableBlock) -> int:
     """cd(block, S/I) = dim of S/I modulo the complementary block."""
+    _require_graded(IdealPair.cyclic(I), block)
     if I.is_unit_ideal():
         raise ZeroModuleError("cd of the zero module is undefined")
     return krull_dim(I + block.complement_ideal(I.ring))
@@ -180,6 +184,7 @@ def cd_subquotient(
     unmixed, every nonzero submodule of S/B has the same cd.  Anything else
     raises rather than guessing.
     """
+    _require_graded(pair, block)
     if pair.is_zero_module():
         raise ZeroModuleError("cd of the zero module is undefined")
     if pair.is_cyclic():
@@ -233,43 +238,37 @@ def _linear_form(ring: BigradedRing, indices, coeffs) -> Polynomial:
     return Polynomial._raw(ring, terms)
 
 
-def _last_variable_substitution(ring: BigradedRing, ell: Polynomial) -> Polynomial:
-    """The replacement making the coordinate change send l to the last variable."""
-    last = ring.nvars - 1
-    coeff_last = None
-    rest = []
-    for exps, c in ell.terms.items():
-        i = exps.index(1)
-        if i == last:
-            coeff_last = c
-        else:
-            rest.append((i, c))
-    inv = ring.field.one / coeff_last
-    repl_terms = {tuple(1 if i == last else 0 for i in range(ring.nvars)): inv}
-    for i, c in rest:
+def _pivot_substitution(ring: BigradedRing, ell: Polynomial, pivot: int) -> Polynomial:
+    """The replacement making the coordinate change send l to its pivot variable."""
+    coeffs = {exps.index(1): c for exps, c in ell.terms.items()}
+    inv = ring.field.one / coeffs.pop(pivot)
+    repl_terms = {tuple(1 if i == pivot else 0 for i in range(ring.nvars)): inv}
+    for i, c in coeffs.items():
         repl_terms[tuple(1 if j == i else 0 for j in range(ring.nvars))] = -c * inv
     return Polynomial._raw(ring, repl_terms)
 
 
-def _regular_via_last_variable(pair: IdealPair, ell: Polynomial) -> bool:
-    """Regularity of l on A/B in coordinates where l becomes the last variable.
+def _regular_via_pivot(pair: IdealPair, ell: Polynomial) -> bool:
+    """Regularity of l on A/B in coordinates where l becomes its pivot variable.
 
-    Needs homogeneous B and a nonzero coefficient of l on the last ring
-    variable.  On a cyclic module, l is regular iff no minimal generator of
-    the transformed initial ideal (grevlex) involves the last variable; on a
-    general pair the colon by the last variable is read off the same basis
-    and intersected with the transformed A.
+    Needs homogeneous B and a linear l; the pivot v is the largest-index
+    variable of l, which the coordinate change puts in l's place.  With v
+    last in grevlex, l is regular on a cyclic module iff no minimal
+    generator of the transformed initial ideal involves v (Bayer-Stillman);
+    on a general pair the colon by v is read off the same kind of basis and
+    intersected with the transformed A.  When v is the last ring variable,
+    the cyclic test asks for the plain grevlex basis, the same order under
+    the memo key the rest of the engine uses.
     """
     ring = pair.ring
-    last = ring.nvars - 1
-    repl = _last_variable_substitution(ring, ell)
-    b_t = Ideal(ring, [g.substitute_variable(last, repl) for g in pair.b.gens])
+    pivot = max(exps.index(1) for exps in ell.terms)
+    repl = _pivot_substitution(ring, ell, pivot)
+    b_t = Ideal(ring, [g.substitute_variable(pivot, repl) for g in pair.b.gens])
     if pair.is_cyclic():
-        return all(lm[last] == 0 for lm in b_t.leading_monomials())
-    from .groebner import colon_by_variable
-
-    quotient = colon_by_variable(b_t, last)
-    a_t = Ideal(ring, [g.substitute_variable(last, repl) for g in pair.a.gens])
+        order = None if pivot == ring.nvars - 1 else MonomialOrder.grevlex_last(pivot)
+        return all(lm[pivot] == 0 for lm in b_t.leading_monomials(order))
+    quotient = colon_by_variable(b_t, pivot)
+    a_t = Ideal(ring, [g.substitute_variable(pivot, repl) for g in pair.a.gens])
     return b_t.contains_ideal(intersect(quotient, a_t))
 
 
@@ -277,11 +276,8 @@ def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
     """Exact test that l is a nonzerodivisor on A/B: (B : l) ∩ A ⊆ B."""
     if not ell:
         return False
-    ring = pair.ring
-    last = ring.nvars - 1
-    linear = all(sum(e) == 1 for e in ell.terms)
-    if linear and pair.b.is_homogeneous() and any(e[last] for e in ell.terms):
-        return _regular_via_last_variable(pair, ell)
+    if all(sum(e) == 1 for e in ell.terms) and pair.b.is_homogeneous():
+        return _regular_via_pivot(pair, ell)
     quot = ideal_quotient(pair.b, ell)
     if pair.is_cyclic():
         return pair.b.contains_ideal(quot)
@@ -291,7 +287,7 @@ def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
 def _draw_form(ring, indices, rng, span, prefer_last_nonzero):
     while True:
         coeffs = [rng.randint(-span, span) for _ in indices]
-        if prefer_last_nonzero and indices and indices[-1] == ring.nvars - 1:
+        if prefer_last_nonzero:
             while coeffs[-1] == 0:
                 coeffs[-1] = rng.randint(-span, span)
         ell = _linear_form(ring, indices, coeffs)
@@ -308,11 +304,6 @@ def find_regular_linear_form(
     integer range widens on every retry.  Precondition: H^0 of the pair
     vanishes, so a regular form exists over a large enough field.
     """
-    if block is VariableBlock.P and pair.ring.m >= 1:
-        swapped = find_regular_linear_form(
-            pair.block_swapped(), VariableBlock.Q, seed
-        )
-        return swapped.block_swapped(pair.ring)
     rng = random.Random(seed)
     ell = _search_regular_form(pair, block, rng, check_h0=False)
     if ell is None:
@@ -369,18 +360,14 @@ def grade_wrt(
     ends the search once the sequence has that many forms.  Since
     grade <= cd, a search stopped at cd skips only the terminal step, which
     could do nothing but prove H^0 != 0; the forms drawn before it come from
-    the same stream, so the witness is unchanged.  The bound grade <= cd
-    holds only for modules graded for the block (bigraded for P and Q), so
-    any other pair ignores ``_stop`` and runs the full search.
+    the same stream, so the witness is unchanged.
+
+    Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
+    the m block), like :func:`cd_wrt`.
     """
+    _require_graded(pair, block)
     if pair.is_zero_module():
         raise ZeroModuleError("grade of the zero module is undefined")
-    if _stop is not None and not pair.is_graded_for(block):
-        _stop = None
-    if block is VariableBlock.P and pair.ring.m >= 1:
-        inner = grade_wrt(pair.block_swapped(), VariableBlock.Q, seed, _stop=_stop)
-        back = tuple(f.block_swapped(pair.ring) for f in inner.regular_sequence)
-        return GradeWitness(inner.grade, back)
     rng = random.Random(seed)
     current = pair
     sequence = []
@@ -416,11 +403,6 @@ def is_relative_cm(
     Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
     the m block): cd's dimension formula and grade <= cd hold only then.
     """
-    if not pair.is_graded_for(block):
-        raise NotBihomogeneousError(
-            f"the module is not graded for the block {block.value}; relative CM "
-            "is decided for bigraded modules (graded ones for m)"
-        )
     cd = cd_subquotient(pair, block, quotient_unmixed=quotient_unmixed)
     witness = grade_wrt(pair, block, seed, _stop=cd)
     return CdGradeReport(

@@ -26,7 +26,7 @@ from seqcm.filtration import (
     monomial_primary_decomposition,
     tensor_split_check,
 )
-from seqcm.groebner import Ideal, ideal_membership, krull_dim
+from seqcm.groebner import Ideal, krull_dim
 from seqcm.hypersurface import (
     classify_hypersurface,
     coefficient_matrix,
@@ -312,7 +312,8 @@ def test_criterion_3_hypersurface_case_table():
                 expected = (m - 1, m - 1, n, n)
             else:
                 expected = (m - 1, m, n - 1, n)
-            got = (stats.grade_p, stats.cd_p, stats.grade_q, stats.cd_q)
+            rep_p, rep_q = stats.report_p, stats.report_q
+            got = (rep_p.grade, rep_p.cd, rep_q.grade, rep_q.cd)
             assert got == expected, (str(f), got, expected)
             rows.append((m, n, a, b) + got)
         assert len(rows) >= 100
@@ -415,7 +416,7 @@ def test_criterion_8_membership_oracle():
         outcomes = []
         for ring, I, candidates in MEMBERSHIP:
             for f in candidates:
-                got = ideal_membership(f, I)
+                got = I.contains(f)
                 assert got == dense_membership(f, I), (I, str(f))
                 outcomes.append(got)
         assert len(outcomes) >= 50

@@ -87,6 +87,21 @@ class TestExitCodes:
                 assert code == 2
                 assert "not graded" in err and out == ""
 
+    def test_non_bigraded_cd_grade_depth_is_two(self, tmp_path, capsys):
+        """cd would read 0 on x1 - y1 w.r.t. Q, and the grade search cannot
+        end on y1 - 1, where y1 is a unit; depth needs a homogeneous ideal."""
+        cases = [("x1 - y1", command, wrt) for command in ("cd", "grade") for wrt in "PQ"]
+        cases += [("y1 - 1", command, wrt) for command in ("cd", "grade") for wrt in "PQm"]
+        cases += [("y1 - 1", "depth", "Q")]
+        for ideal, command, wrt in cases:
+            path = write_problem(tmp_path, f"ring m=1 n=1 field=QQ\nideal {ideal}\n")
+            code, out, err = run_cli(capsys, command, path, "--wrt", wrt)
+            assert code == 2, (ideal, command, wrt)
+            assert "not graded" in err and out == ""
+        path = write_problem(tmp_path, "ring m=1 n=1 field=QQ\nideal x1 - y1\n")
+        code, out, _ = run_cli(capsys, "depth", path, "--format", "json")
+        assert code == 0 and json.loads(out)["invariants"]["depth"] == 1
+
     def test_parse_error_is_three(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x3\n")
         code, _, err = run_cli(capsys, "seqcm", path)
@@ -180,6 +195,30 @@ class TestCommands:
         path = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1 + y1\n")
         code, _, err = run_cli(capsys, "hypersurface", path)
         assert code == 2
+
+    def test_hypersurface_computes_split_and_reports_once(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        """One split and one cd/grade report per block, even where the
+        verdict needs the block's report again (no split, one-sided f)."""
+        import seqcm.hypersurface as hypersurface
+
+        calls = []
+        for name in ("rank_one_split", "is_relative_cm"):
+            original = getattr(hypersurface, name)
+
+            def counting(*args, _original=original, _name=name, **kwargs):
+                calls.append(_name)
+                return _original(*args, **kwargs)
+
+            monkeypatch.setattr(hypersurface, name, counting)
+        for ideal in ("x1*y1 + x2*y2", "y1^2 + y1*y2"):
+            path = write_problem(tmp_path, f"ring m=2 n=2 field=QQ\nideal {ideal}\n")
+            for wrt in "PQ":
+                calls.clear()
+                code, _, _ = run_cli(capsys, "hypersurface", path, "--wrt", wrt)
+                assert code == 0
+                assert sorted(calls) == ["is_relative_cm", "is_relative_cm", "rank_one_split"]
 
     def test_grade_of_zero_module_is_two(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=1 n=1 field=QQ\nideal 1\n")

@@ -16,7 +16,7 @@ from seqcm.hypersurface import (
     rank_one_split,
 )
 from seqcm.poly import BigradedRing
-from seqcm.relcm import VariableBlock
+from seqcm.relcm import IdealPair, VariableBlock, is_relative_cm
 
 P, Q = VariableBlock.P, VariableBlock.Q
 
@@ -131,18 +131,20 @@ class TestRankOneSplit:
 class TestStats:
     def test_quadric(self, segre_quadric):
         stats = hypersurface_stats(segre_quadric)
-        assert (stats.grade_q, stats.cd_q) == (1, 2)
-        assert (stats.grade_p, stats.cd_p) == (1, 2)
+        assert (stats.report_q.grade, stats.report_q.cd) == (1, 2)
+        assert (stats.report_p.grade, stats.report_p.cd) == (1, 2)
 
     def test_pure_y_hypersurface(self, R22):
         stats = hypersurface_stats(R22.parse("y1^2"))
-        assert (stats.cd_p, stats.cd_q) == (2, 1)
-        assert stats.grade_p == stats.cd_p and stats.grade_q == stats.cd_q
+        assert (stats.report_p.cd, stats.report_q.cd) == (2, 1)
+        assert stats.report_p.grade == stats.report_p.cd
+        assert stats.report_q.grade == stats.report_q.cd
 
     def test_pure_x_hypersurface(self, R22):
         stats = hypersurface_stats(R22.x(1))
-        assert (stats.cd_p, stats.cd_q) == (1, 2)
-        assert stats.grade_p == stats.cd_p and stats.grade_q == stats.cd_q
+        assert (stats.report_p.cd, stats.report_q.cd) == (1, 2)
+        assert stats.report_p.grade == stats.report_p.cd
+        assert stats.report_q.grade == stats.report_q.cd
 
     def test_case_table_randomized(self):
         rng = random.Random(94)
@@ -155,14 +157,35 @@ class TestStats:
             f = random_bihomogeneous(rng, ring, a, b)
             stats = hypersurface_stats(f)
             if a == 0:
-                assert (stats.grade_p, stats.cd_p) == (m, m)
-                assert (stats.grade_q, stats.cd_q) == (n - 1, n - 1)
+                assert (stats.report_p.grade, stats.report_p.cd) == (m, m)
+                assert (stats.report_q.grade, stats.report_q.cd) == (n - 1, n - 1)
             elif b == 0:
-                assert (stats.grade_p, stats.cd_p) == (m - 1, m - 1)
-                assert (stats.grade_q, stats.cd_q) == (n, n)
+                assert (stats.report_p.grade, stats.report_p.cd) == (m - 1, m - 1)
+                assert (stats.report_q.grade, stats.report_q.cd) == (n, n)
             else:
-                assert (stats.grade_p, stats.cd_p) == (m - 1, m)
-                assert (stats.grade_q, stats.cd_q) == (n - 1, n)
+                assert (stats.report_p.grade, stats.report_p.cd) == (m - 1, m)
+                assert (stats.report_q.grade, stats.report_q.cd) == (n - 1, n)
+
+    def test_carries_split_and_block_reports(self, R22, segre_quadric):
+        for f in (segre_quadric, R22.parse("x1*y1 + x2*y1"), R22.parse("y1^2 + y1*y2")):
+            stats = hypersurface_stats(f, seed=3)
+            assert stats.split == rank_one_split(f)
+            for block in (P, Q):
+                pair = IdealPair.cyclic(Ideal(R22, (f,)))
+                assert stats.report(block) == is_relative_cm(pair, block, 3)
+
+    def test_classify_reuses_the_stats(self, R22, segre_quadric):
+        """Handing the stats over changes nothing in the verdict's document,
+        at any seed: the reports were drawn with the same seed."""
+        from seqcm.cli import _verdict_doc
+
+        for f in (segre_quadric, R22.parse("x1*y1 + x2*y1"), R22.parse("y1^2 + y1*y2")):
+            for seed in (0, 3):
+                stats = hypersurface_stats(f, seed)
+                for block in (P, Q):
+                    reused = classify_hypersurface(f, block, seed, _report=stats)
+                    fresh = classify_hypersurface(f, block, seed)
+                    assert _verdict_doc(reused) == _verdict_doc(fresh)
 
 
 class TestClassify:

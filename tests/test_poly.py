@@ -158,18 +158,6 @@ class TestPrimeField:
 
 
 class TestStructuralMaps:
-    def test_block_swap_is_involutive(self, R22):
-        rng = random.Random(9)
-        target = R22.swapped()
-        for _ in range(30):
-            p = random_poly(rng, R22)
-            assert p.block_swapped(target).block_swapped(R22) == p
-
-    def test_swap_exchanges_blocks(self, R22):
-        target = R22.swapped()
-        assert R22.x(1).block_swapped(target) == target.y(1)
-        assert R22.y(2).block_swapped(target) == target.x(2)
-
     def test_substitute_variable(self, R22):
         p = R22.parse("x1^2*y1 + y1")
         repl = R22.parse("y1 - y2")

@@ -28,6 +28,21 @@ from seqcm.relcm import (
 P, Q, M = VariableBlock.P, VariableBlock.Q, VariableBlock.M
 
 
+def linear_form(ring, indices, coeffs) -> Polynomial:
+    return Polynomial(
+        ring,
+        {
+            tuple(1 if i == idx else 0 for i in range(ring.nvars)): Fraction(c)
+            for idx, c in zip(indices, coeffs)
+        },
+    )
+
+
+def form_supports(ring) -> tuple:
+    """Variable sets of the probe forms: the Q block, the P block, and both."""
+    return (tuple(ring.y_range), tuple(ring.x_range), tuple(range(ring.nvars)))
+
+
 class TestCd:
     def test_quadric(self, R22, segre_quadric):
         assert cd_wrt(Ideal(R22, (segre_quadric,)), Q) == 2
@@ -94,22 +109,23 @@ class TestRegularForms:
         assert not is_regular_form(pair, R22.y(2))
 
     def test_fast_path_matches_elimination_definition(self, R22):
+        """Q-block, P-block and mixed forms: the pivot coordinate path
+        against the elimination definition."""
         rng = random.Random(77)
+        compared = 0
         for _ in range(25):
             I = random_monomial_ideal(rng, R22)
             if I.is_unit_ideal():
                 continue
             pair = IdealPair.cyclic(I)
-            coeffs = [rng.randint(-3, 3) for _ in range(2)]
-            terms = {}
-            for idx, c in zip(R22.y_range, coeffs):
-                if c:
-                    exps = tuple(1 if i == idx else 0 for i in range(R22.nvars))
-                    terms[exps] = Fraction(c)
-            ell = Polynomial(R22, terms)
-            if ell.is_zero():
-                continue
-            assert is_regular_form(pair, ell) == slow_is_regular(pair, ell)
+            for indices in form_supports(R22):
+                coeffs = [rng.randint(-3, 3) for _ in indices]
+                ell = linear_form(R22, indices, coeffs)
+                if ell.is_zero():
+                    continue
+                assert is_regular_form(pair, ell) == slow_is_regular(pair, ell)
+                compared += 1
+        assert compared >= 50
 
     def test_pair_regularity_matches_oracle(self, R22):
         # Non-cyclic pairs exercise the (B : l) ∩ A ⊆ B route directly.
@@ -122,6 +138,12 @@ class TestRegularForms:
         assert not is_regular_form(pair, y1)
         assert slow_is_regular(pair, y2)
         assert not slow_is_regular(pair, y1)
+        # P-block and mixed forms: regular unless they vanish modulo y1.
+        x2 = R22.x(2)
+        for ell, regular in ((x1, True), (x2, True), (x1 + y1, True),
+                             (x2 - x1 + y2, True), (y1.scale(2), False)):
+            assert is_regular_form(pair, ell) is regular
+            assert slow_is_regular(pair, ell) is regular
 
     def test_pair_fast_path_matches_oracle_randomized(self, R22):
         """Homogeneous non-cyclic pairs: coordinate-change route vs elimination."""
@@ -134,29 +156,20 @@ class TestRegularForms:
             if a.is_unit_ideal():
                 continue
             coeffs = [rng.randint(-2, 2) for _ in range(2)]
-            coeffs[-1] = coeffs[-1] or 1  # keep the fast path reachable
-            terms = {}
-            for idx, c in zip(R22.y_range, coeffs):
-                if c:
-                    exps = tuple(1 if i == idx else 0 for i in range(R22.nvars))
-                    terms[exps] = Fraction(c)
-            ell = Polynomial(R22, terms)
+            coeffs[-1] = coeffs[-1] or 1
+            ell = linear_form(R22, R22.y_range, coeffs)
             # b picks up a linear multiple of a, as in the grade recursion
             b = b0 + a.scaled_by(ell)
             pair = IdealPair(a, b, _trusted=True)
             if pair.is_zero_module():
                 continue
-            probe_coeffs = [rng.randint(-2, 2) for _ in range(2)]
-            probe_coeffs[-1] = probe_coeffs[-1] or 1
-            probe_terms = {}
-            for idx, c in zip(R22.y_range, probe_coeffs):
-                if c:
-                    exps = tuple(1 if i == idx else 0 for i in range(R22.nvars))
-                    probe_terms[exps] = Fraction(c)
-            probe = Polynomial(R22, probe_terms)
-            assert is_regular_form(pair, probe) == slow_is_regular(pair, probe)
-            compared += 1
-        assert compared >= 10
+            for indices in form_supports(R22):
+                probe_coeffs = [rng.randint(-2, 2) for _ in indices]
+                probe_coeffs[-1] = probe_coeffs[-1] or 1
+                probe = linear_form(R22, indices, probe_coeffs)
+                assert is_regular_form(pair, probe) == slow_is_regular(pair, probe)
+                compared += 1
+        assert compared >= 30
 
 
 class TestGrade:
@@ -261,23 +274,31 @@ class TestGradeStopsAtCd:
 
     def test_non_bigraded_input_is_rejected(self):
         """cd(Q, S/I) = dim S/(I + P) needs a bigraded module.  For
-        I = (x1 - y1) it reads 0, while y1 is regular on S/I ≅ K[t]; a
-        search stopped at that cd would call S/I relative CM."""
+        I = (x1 - y1) it would read 0, while y1 is regular on S/I ≅ K[t];
+        on S/(y1 - 1), y1 is a unit and the grade search cannot end.  cd,
+        grade and every decision built on them reject both."""
         ring = BigradedRing(1, 1)
         for text in ("x1 - y1", "y1 - 1"):
             I = Ideal(ring, (ring.parse(text),))
             pair = IdealPair.cyclic(I)
             for block in (P, Q):
-                with pytest.raises(NotBihomogeneousError):
-                    is_relative_cm(pair, block)
-                with pytest.raises(NotBihomogeneousError):
-                    is_seq_cm(I, block)
+                for call in (
+                    lambda: cd_wrt(I, block),
+                    lambda: cd_subquotient(pair, block),
+                    lambda: grade_wrt(pair, block),
+                    lambda: grade_wrt(pair, block, _stop=0),
+                    lambda: is_relative_cm(pair, block),
+                    lambda: is_seq_cm(I, block),
+                ):
+                    with pytest.raises(NotBihomogeneousError):
+                        call()
+        y1_minus_1 = IdealPair.cyclic(Ideal(ring, (ring.parse("y1 - 1"),)))
+        with pytest.raises(NotBihomogeneousError):
+            grade_wrt(y1_minus_1, M)
         pair = IdealPair.cyclic(Ideal(ring, (ring.parse("x1 - y1"),)))
-        assert cd_wrt(pair.b, Q) == 0
-        assert grade_wrt(pair, Q).grade == 1
-        assert grade_wrt(pair, Q, _stop=0).grade == 1  # the stop is ignored
         report = is_relative_cm(pair, M)  # graded, so decided: S/I is CM
         assert (report.cd, report.grade, report.relative_cm) == (1, 1, True)
+        assert grade_wrt(pair, M).grade == 1
 
 
 class TestCdSubquotient:
@@ -341,14 +362,21 @@ class TestFormulaSuite:
         assert cm_seen >= 5 and relcm_seen >= 5
 
     def test_block_swap_symmetry(self):
+        """P and Q run the same code path, so this compares two independent
+        computations on mirror-image modules."""
         rng = random.Random(2002)
         ring = BigradedRing(2, 2)
-        swapped_ring = ring.swapped()
+        mirror_ring = BigradedRing(ring.n, ring.m)
+
+        def mirrored(g):  # exchange the x and y exponent blocks
+            terms = {e[ring.m :] + e[: ring.m]: c for e, c in g.terms.items()}
+            return Polynomial(mirror_ring, terms)
+
         for _ in range(12):
             I = random_monomial_ideal(rng, ring, max_gens=3)
             if I.is_unit_ideal():
                 continue
-            J = Ideal(swapped_ring, tuple(g.block_swapped(swapped_ring) for g in I.gens))
+            J = Ideal(mirror_ring, tuple(mirrored(g) for g in I.gens))
             assert cd_wrt(I, P) == cd_wrt(J, Q)
             assert cd_wrt(I, Q) == cd_wrt(J, P)
             pair_i, pair_j = IdealPair.cyclic(I), IdealPair.cyclic(J)
