@@ -13,14 +13,17 @@ off a grevlex basis with that variable rotated last.  Each shortcut computes
 the same ideal as the general elimination route; the test suite compares the
 two on random inputs.
 
-Reduced bases are memoized per process, keyed by ring, order, and the
-canonical generator list.  The memo is guarded by a lock so ideals can be
+Reduced bases are memoized in a process-wide LRU of at most _GB_MEMO_SIZE
+bases, keyed by ring, order, and the canonical generator list; an evicted
+basis is recomputed on its next request, and the reduced basis is unique, so
+eviction changes no result.  The memo is guarded by a lock so ideals can be
 shared across threads.
 """
 
 from __future__ import annotations
 
 import threading
+from collections import OrderedDict
 from typing import Iterable, Sequence
 
 from .errors import RingMismatchError, ZeroPolynomialError
@@ -124,17 +127,29 @@ def exact_div(g: Polynomial, f: Polynomial) -> Polynomial:
 # ---- Buchberger ------------------------------------------------------------------
 
 
-def _spoly_terms(f: Polynomial, g: Polynomial, keyfn) -> dict:
-    """S-polynomial term dict for monic f, g."""
-    lf = f.leading_monomial(keyfn)
-    lg = g.leading_monomial(keyfn)
+def _monic_terms(terms: dict, one) -> tuple:
+    """(lead, monic terms) of a remainder from :func:`_reduce_terms`.
+
+    The remainder collects its terms in descending order, so its first key
+    is the leading monomial.
+    """
+    lm = next(iter(terms))
+    lc = terms[lm]
+    if lc != one:
+        inv = one / lc
+        terms = {e: c * inv for e, c in terms.items()}
+    return lm, terms
+
+
+def _spoly_terms(f: dict, lf: tuple, g: dict, lg: tuple) -> dict:
+    """S-polynomial term dict for monic f, g with leads lf, lg."""
     lcm = mono_lcm(lf, lg)
     sf = mono_div(lcm, lf)
     sg = mono_div(lcm, lg)
     out = {}
-    for e, c in f.terms.items():
+    for e, c in f.items():
         out[mono_mul(e, sf)] = c
-    for e, c in g.terms.items():
+    for e, c in g.items():
         e2 = mono_mul(e, sg)
         s = out.get(e2)
         s = -c if s is None else s - c
@@ -145,16 +160,17 @@ def _spoly_terms(f: Polynomial, g: Polynomial, keyfn) -> dict:
     return out
 
 
-def _update_pairs(G: list, lms: list, B: list, h: Polynomial, keyfn):
-    """Gebauer-Moller pair update: append h to G, prune and extend B.
+def _update_pairs(G: list, B: list, lmh: tuple, h: dict, keyfn):
+    """Gebauer-Moller pair update: append (lmh, h) to G, prune and extend B.
 
-    B holds (lcm, i, j) with i < j indices into G.  The three classic
-    criteria are applied: new pairs whose lcm is a multiple of another new
-    pair's lcm are dropped, coprime lead pairs are dropped, and old pairs
-    strictly superseded by the new element are dropped.
+    G holds (lead, monic terms); B holds (key of lcm, lcm, i, j) with i < j
+    indices into G.  The three classic criteria are applied: new pairs whose
+    lcm is a multiple of another new pair's lcm are dropped, coprime lead
+    pairs are dropped, and old pairs strictly superseded by the new element
+    are dropped.
     """
     t = len(G)
-    lmh = h.leading_monomial(keyfn)
+    lms = [lm for lm, _ in G]
 
     candidates = list(range(t))
     lcms = {i: mono_lcm(lms[i], lmh) for i in candidates}
@@ -169,48 +185,43 @@ def _update_pairs(G: list, lms: list, B: list, h: Polynomial, keyfn):
         if coprime or not dominated:
             kept.append(i)
     new_pairs = [
-        (lcms[i], i, t) for i in kept if lcms[i] != mono_mul(lms[i], lmh)
+        (keyfn(lcms[i]), lcms[i], i, t)
+        for i in kept
+        if lcms[i] != mono_mul(lms[i], lmh)
     ]
 
     surviving = []
-    for lcm_ij, i, j in B:
+    for pair in B:
+        _, lcm_ij, i, j = pair
         if (
             not mono_divides(lmh, lcm_ij)
             or mono_lcm(lms[i], lmh) == lcm_ij
             or mono_lcm(lms[j], lmh) == lcm_ij
         ):
-            surviving.append((lcm_ij, i, j))
+            surviving.append(pair)
     B[:] = surviving + new_pairs
-    G.append(h)
-    lms.append(lmh)
+    G.append((lmh, h))
 
 
-def _autoreduce(polys: list, keyfn) -> tuple:
-    """Interreduce a generating set into the reduced (monic) basis."""
-    current = [p.monic(keyfn) for p in polys if p]
-    # Drop elements whose leading monomial another element's divides.
-    current.sort(key=lambda p: keyfn(p.leading_monomial(keyfn)))
+def _autoreduce(G: list, keyfn, ring: BigradedRing) -> tuple:
+    """The reduced basis from a Groebner basis G of (lead, monic terms).
+
+    Elements whose lead another element's lead divides are dropped, which
+    leaves a minimal basis.  One tail-reduction pass then makes it reduced:
+    reducing an element by the others never changes its lead (no other lead
+    divides it), so the leads every later reduction divides by stay fixed
+    (Cox-Little-O'Shea, section 2.7).
+    """
+    current = sorted(G, key=lambda item: keyfn(item[0]))
     minimal = []
-    for p in current:
-        lm = p.leading_monomial(keyfn)
-        if not any(mono_divides(q.leading_monomial(keyfn), lm) for q in minimal):
-            minimal.append(p)
-    changed = True
-    while changed:
-        changed = False
-        for i, p in enumerate(minimal):
-            others = [
-                (q.leading_monomial(keyfn), q.terms)
-                for j, q in enumerate(minimal)
-                if j != i
-            ]
-            reduced = _reduce_terms(p.terms, others, keyfn, p.ring.field.zero)
-            q = Polynomial._raw(p.ring, reduced).monic(keyfn)
-            if q.terms != p.terms:
-                minimal[i] = q
-                changed = True
-    minimal.sort(key=lambda p: keyfn(p.leading_monomial(keyfn)), reverse=True)
-    return tuple(minimal)
+    for lm, terms in current:
+        if not any(mono_divides(q, lm) for q, _ in minimal):
+            minimal.append((lm, terms))
+    zero = ring.field.zero
+    for i, (lm, terms) in enumerate(minimal):
+        others = minimal[:i] + minimal[i + 1 :]
+        minimal[i] = (lm, _reduce_terms(terms, others, keyfn, zero))
+    return tuple(Polynomial._raw(ring, terms) for _, terms in reversed(minimal))
 
 
 def _minimal_monomials(monos: Iterable[tuple]) -> tuple:
@@ -236,51 +247,49 @@ def buchberger(
             raise RingMismatchError("generators from different rings")
     order = order or ring.order
     keyfn = order.sort_key(ring.nvars)
+    one = ring.field.one
 
     if all(p.is_monomial() for p in polys):
         # Monomial ideals: the reduced basis is the minimal generator set,
         # independent of the order.
-        one = ring.field.one
-        monos = _minimal_monomials(e for p in polys for e in p.terms)
-        basis = [Polynomial._raw(ring, {m: one}) for m in monos]
-        basis.sort(key=lambda p: keyfn(p.leading_monomial(keyfn)), reverse=True)
-        return tuple(basis)
+        monos = sorted(
+            _minimal_monomials(e for p in polys for e in p.terms),
+            key=keyfn,
+            reverse=True,
+        )
+        return tuple(Polynomial._raw(ring, {m: one}) for m in monos)
 
-    G: list[Polynomial] = []
-    lms: list[tuple] = []
+    G: list[tuple] = []  # (lead, monic terms); G doubles as the reducer list
     B: list[tuple] = []
-
-    def reducers():
-        return [(lms[i], G[i].terms) for i in range(len(G))]
+    zero = ring.field.zero
 
     for f in sorted(polys, key=lambda p: keyfn(p.leading_monomial(keyfn))):
-        r = _reduce_terms(f.terms, reducers(), keyfn, ring.field.zero)
+        r = _reduce_terms(f.terms, G, keyfn, zero)
         if r:
-            h = Polynomial._raw(ring, r).monic(keyfn)
-            _update_pairs(G, lms, B, h, keyfn)
+            _update_pairs(G, B, *_monic_terms(r, one), keyfn)
 
     while B:
-        best = min(range(len(B)), key=lambda k: keyfn(B[k][0]))
-        _, i, j = B.pop(best)
-        s = _spoly_terms(G[i], G[j], keyfn)
-        r = _reduce_terms(s, reducers(), keyfn, ring.field.zero)
+        best = min(range(len(B)), key=lambda k: B[k][0])
+        _, _, i, j = B.pop(best)
+        (li, gi), (lj, gj) = G[i], G[j]
+        r = _reduce_terms(_spoly_terms(gi, li, gj, lj), G, keyfn, zero)
         if r:
-            h = Polynomial._raw(ring, r).monic(keyfn)
-            _update_pairs(G, lms, B, h, keyfn)
+            _update_pairs(G, B, *_monic_terms(r, one), keyfn)
 
-    return _autoreduce(G, keyfn)
+    return _autoreduce(G, keyfn, ring)
 
 
 # ---- ideals ----------------------------------------------------------------------
 
-_GB_MEMO: dict = {}
+_GB_MEMO_SIZE = 1024  # reduced bases kept process-wide, least recently used evicted
+_GB_MEMO: OrderedDict = OrderedDict()
 _GB_LOCK = threading.Lock()
 
 
 class Ideal:
     """An ideal given by generators, with cached reduced Groebner bases."""
 
-    __slots__ = ("ring", "gens", "_bases")
+    __slots__ = ("ring", "gens", "_bases", "_gens_key")
 
     def __init__(self, ring: BigradedRing, gens: Iterable[Polynomial] = ()):
         kept = []
@@ -292,6 +301,7 @@ class Ideal:
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(kept))
         object.__setattr__(self, "_bases", {})
+        object.__setattr__(self, "_gens_key", None)
 
     def __setattr__(self, *_):
         raise AttributeError("Ideal is immutable")
@@ -304,21 +314,41 @@ class Ideal:
     def zero(cls, ring: BigradedRing) -> "Ideal":
         return cls(ring, ())
 
-    def _memo_key(self, order: MonomialOrder):
-        return (self.ring.key(), order, tuple(g.canonical_key() for g in self.gens))
+    def _presentation(self) -> tuple:
+        """(ring key, canonical generator keys): the identity of the
+        presentation, shared by ``==``, ``hash`` and the basis memo."""
+        key = self._gens_key
+        if key is None:
+            key = (self.ring.key(), tuple(g.canonical_key() for g in self.gens))
+            object.__setattr__(self, "_gens_key", key)
+        return key
+
+    def __eq__(self, other) -> bool:
+        """Presentation equality: same ring, same generators in the same
+        order.  :meth:`equals` is the ideal-theoretic comparison."""
+        if not isinstance(other, Ideal):
+            return NotImplemented
+        return self is other or self._presentation() == other._presentation()
+
+    def __hash__(self):
+        return hash(self._presentation())
 
     def groebner_basis(self, order: MonomialOrder | None = None) -> tuple:
         order = order or self.ring.order
         cached = self._bases.get(order)
         if cached is not None:
             return cached
-        key = self._memo_key(order)
+        key = (order, self._presentation())
         with _GB_LOCK:
             cached = _GB_MEMO.get(key)
+            if cached is not None:
+                _GB_MEMO.move_to_end(key)
         if cached is None:
             cached = buchberger(self.gens, order)
             with _GB_LOCK:
                 _GB_MEMO[key] = cached
+                if len(_GB_MEMO) > _GB_MEMO_SIZE:
+                    _GB_MEMO.popitem(last=False)
         self._bases[order] = cached
         return cached
 
@@ -459,7 +489,7 @@ def colon_by_variable(I: Ideal, var_index: int) -> Ideal:
     those gives a basis of the colon.
     """
     ring = I.ring
-    order = MonomialOrder.grevlex_last(var_index)
+    order = MonomialOrder.variable_last(var_index, ring.nvars)
     keyfn = order.sort_key(ring.nvars)
     out = []
     for g in I.groebner_basis(order):

@@ -4,18 +4,30 @@ An order is exposed as a sort key on exponent tuples, so ``max(terms,
 key=order.sort_key(nvars))`` picks the leading monomial.  All orders here are
 global (1 is minimal), total, and compatible with multiplication, which is
 what the division algorithm and Buchberger's algorithm require.
+
+Keys are memoised: ``sort_key`` hands out one key function per (order,
+nvars), and each key function caches its values, so a monomial's key is
+built once rather than on every ``max`` or ``sort``.  Both caches are
+bounded LRUs (at most _KEY_FUNCTIONS functions of _KEYS_PER_FUNCTION keys
+each), so they stay small whatever rings and orders a process sees, and
+they fill lazily.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import neg
 
 GREVLEX = "grevlex"
 ELIMINATE = "block-eliminate"
 
+_KEY_FUNCTIONS = 32  # cached key functions, one per (order, nvars)
+_KEYS_PER_FUNCTION = 2048  # cached keys per key function
+
 
 def _grevlex_key(exps):
-    return (sum(exps), tuple(-e for e in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 @dataclass(frozen=True)
@@ -48,8 +60,23 @@ class MonomialOrder:
     def grevlex_last(cls, var_index: int) -> "MonomialOrder":
         return cls(GREVLEX, last_var=var_index)
 
+    @classmethod
+    def variable_last(cls, var_index: int, nvars: int) -> "MonomialOrder":
+        """Grevlex with ``var_index`` smallest: plain grevlex when it is the
+        last variable already, so both spellings share one basis memo key."""
+        if var_index == nvars - 1:
+            return cls.grevlex()
+        return cls.grevlex_last(var_index)
+
     def sort_key(self, nvars: int):
-        """Return a key function on exponent tuples of length ``nvars``."""
+        """Return a key function on exponent tuples of length ``nvars``.
+
+        The function is shared by every caller asking for the same order and
+        ``nvars``, and it memoises its values.
+        """
+        return _cached_key_function(self, nvars)
+
+    def _uncached_key(self, nvars: int):
         if self.tag == ELIMINATE:
             k = self.block
             if k >= nvars:
@@ -70,3 +97,8 @@ class MonomialOrder:
         if self.last_var is not None:
             return f"{self.tag}[last={self.last_var}]"
         return self.tag
+
+
+@lru_cache(maxsize=_KEY_FUNCTIONS)
+def _cached_key_function(order: MonomialOrder, nvars: int):
+    return lru_cache(maxsize=_KEYS_PER_FUNCTION)(order._uncached_key(nvars))

@@ -345,19 +345,27 @@ class Polynomial:
     def substitute_variable(self, index: int, replacement: "Polynomial") -> "Polynomial":
         """Substitute ``replacement`` for the variable at ``index``."""
         self._check_ring(replacement)
-        powers = {0: self.ring.one()}
+        powers = {1: replacement}
 
         def power(k):
             if k not in powers:
                 powers[k] = power(k - 1) * replacement
             return powers[k]
 
-        out = self.ring.zero()
+        out = {}
         for e, c in self.terms.items():
             k = e[index]
-            base = e[:index] + (0,) + e[index + 1 :]
-            out = out + power(k).mul_term(c, base)
-        return out
+            if k:
+                base = e[:index] + (0,) + e[index + 1 :]
+                images = [
+                    (mono_mul(pe, base), c * pc) for pe, pc in power(k).terms.items()
+                ]
+            else:
+                images = [(e, c)]
+            for m, v in images:
+                s = out.get(m)
+                out[m] = v if s is None else s + v
+        return Polynomial._raw(self.ring, {m: c for m, c in out.items() if c})
 
     def embedded(self, target: BigradedRing) -> "Polynomial":
         """Reinterpret in a ring with more aux slots (exponents shifted right)."""

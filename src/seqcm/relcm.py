@@ -257,15 +257,16 @@ def _regular_via_pivot(pair: IdealPair, ell: Polynomial) -> bool:
     generator of the transformed initial ideal involves v (Bayer-Stillman);
     on a general pair the colon by v is read off the same kind of basis and
     intersected with the transformed A.  When v is the last ring variable,
-    the cyclic test asks for the plain grevlex basis, the same order under
-    the memo key the rest of the engine uses.
+    both tests ask for the plain grevlex basis
+    (:meth:`MonomialOrder.variable_last`), the order and memo key the rest
+    of the engine uses.
     """
     ring = pair.ring
     pivot = max(exps.index(1) for exps in ell.terms)
     repl = _pivot_substitution(ring, ell, pivot)
     b_t = Ideal(ring, [g.substitute_variable(pivot, repl) for g in pair.b.gens])
     if pair.is_cyclic():
-        order = None if pivot == ring.nvars - 1 else MonomialOrder.grevlex_last(pivot)
+        order = MonomialOrder.variable_last(pivot, ring.nvars)
         return all(lm[pivot] == 0 for lm in b_t.leading_monomials(order))
     quotient = colon_by_variable(b_t, pivot)
     a_t = Ideal(ring, [g.substitute_variable(pivot, repl) for g in pair.a.gens])

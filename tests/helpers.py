@@ -12,8 +12,8 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from seqcm.groebner import Ideal, _eliminate_first_aux, exact_div
-from seqcm.poly import BigradedRing, Polynomial, mono_degree
+from seqcm.groebner import Ideal, _eliminate_first_aux, _reduce_terms, exact_div
+from seqcm.poly import BigradedRing, Polynomial, mono_degree, mono_divides
 from seqcm.relcm import VariableBlock, cd_wrt
 
 
@@ -204,6 +204,38 @@ def slow_is_regular(pair, ell) -> bool:
     if pair.is_cyclic():
         return pair.b.contains_ideal(quot)
     return pair.b.contains_ideal(elimination_intersect(quot, pair.a))
+
+
+# ---- multi-pass interreduction ----------------------------------------------------------
+
+
+def multipass_autoreduce(polys: list, keyfn) -> tuple:
+    """Reduced basis from a Groebner basis by interreducing until nothing
+    changes, recomputing every lead: the reference for the one-pass
+    ``groebner._autoreduce``."""
+    current = [p.monic(keyfn) for p in polys if p]
+    current.sort(key=lambda p: keyfn(p.leading_monomial(keyfn)))
+    minimal = []
+    for p in current:
+        lm = p.leading_monomial(keyfn)
+        if not any(mono_divides(q.leading_monomial(keyfn), lm) for q in minimal):
+            minimal.append(p)
+    changed = True
+    while changed:
+        changed = False
+        for i, p in enumerate(minimal):
+            others = [
+                (q.leading_monomial(keyfn), q.terms)
+                for j, q in enumerate(minimal)
+                if j != i
+            ]
+            reduced = _reduce_terms(p.terms, others, keyfn, p.ring.field.zero)
+            q = Polynomial._raw(p.ring, reduced).monic(keyfn)
+            if q.terms != p.terms:
+                minimal[i] = q
+                changed = True
+    minimal.sort(key=lambda p: keyfn(p.leading_monomial(keyfn)), reverse=True)
+    return tuple(minimal)
 
 
 # ---- brute-force submodule oracle ------------------------------------------------------

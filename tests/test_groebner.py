@@ -6,10 +6,13 @@ from helpers import (
     elimination_quotient,
     elimination_saturation,
     ideals_equal,
+    multipass_autoreduce,
     random_monomial_ideal,
 )
+from seqcm import groebner
 from seqcm.groebner import (
     Ideal,
+    _autoreduce,
     buchberger,
     colon_by_variable,
     exact_div,
@@ -19,6 +22,7 @@ from seqcm.groebner import (
     normal_form,
     saturation,
 )
+from seqcm.orders import MonomialOrder
 from seqcm.poly import BigradedRing, Polynomial
 
 
@@ -284,6 +288,109 @@ class TestCaching:
             t.join()
         assert len(results) == 8
         assert all(r == results[0] for r in results)
+
+
+class TestKernel:
+    """The one-pass interreduction, the memoised order keys and the bounded
+    basis memo against their plain counterparts."""
+
+    def test_one_pass_autoreduce_matches_multipass(self):
+        rng = random.Random(53)
+        ring = BigradedRing(2, 2)
+        checked = 0
+        for _ in range(40):
+            order = rng.choice(
+                [
+                    MonomialOrder.grevlex(),
+                    MonomialOrder.grevlex_last(rng.randrange(ring.nvars)),
+                    MonomialOrder.eliminate(1),
+                ]
+            )
+            keyfn = order.sort_key(ring.nvars)
+            gens = [g for g in (random_poly(rng, ring) for _ in range(3)) if g]
+            if not gens:
+                continue
+            basis = buchberger(gens, order)
+            # A Groebner basis that is neither minimal nor reduced: the reduced
+            # one plus scaled copies and random members of the ideal.
+            polys = list(basis)
+            for _ in range(rng.randint(1, 4)):
+                g = rng.choice(basis)
+                polys.append(g.scale(rng.randint(2, 5)))
+                member = ring.zero()
+                for h in basis:
+                    member = member + h * random_poly(rng, ring, max_terms=2, max_degree=1)
+                if member:
+                    polys.append(member)
+            rng.shuffle(polys)
+            items = [(p.leading_monomial(keyfn), p.monic(keyfn).terms) for p in polys]
+            got = _autoreduce(items, keyfn, ring)
+            assert got == multipass_autoreduce(polys, keyfn) == basis
+            checked += 1
+        assert checked >= 30
+
+    def test_cached_sort_keys_match_uncached(self):
+        rng = random.Random(59)
+        for nvars in range(2, 7):
+            orders = [MonomialOrder.grevlex()]
+            orders += [MonomialOrder.grevlex_last(v) for v in range(nvars)]
+            orders += [MonomialOrder.eliminate(k) for k in range(1, nvars)]
+            monos = [
+                tuple(rng.randint(0, 3) for _ in range(nvars)) for _ in range(60)
+            ]
+            for order in orders:
+                cached = order.sort_key(nvars)
+                plain = order._uncached_key(nvars)
+                assert order.sort_key(nvars) is cached
+                assert [cached(e) for e in monos] == [plain(e) for e in monos]
+                assert sorted(monos, key=cached) == sorted(monos, key=plain)
+
+    def test_variable_last_shares_the_grevlex_memo_key(self, R22):
+        last = R22.nvars - 1
+        assert MonomialOrder.variable_last(last, R22.nvars) == R22.order
+        assert MonomialOrder.variable_last(0, R22.nvars) == MonomialOrder.grevlex_last(0)
+        I = Ideal(R22, (R22.parse("x1*y2 + x2*y1"), R22.parse("y2^2 - x1*y1")))
+        colon_by_variable(I, last)
+        I.contains(R22.parse("x1*y1"))
+        assert list(I._bases) == [R22.order]
+
+    def test_basis_memo_is_a_bounded_lru(self):
+        bound = groebner._GB_MEMO_SIZE
+        ring = BigradedRing(1, 1)
+        x, y = ring.x(1), ring.y(1)
+
+        def basis(k):
+            """A fresh instance each time, so only the process-wide memo can hit."""
+            got = Ideal(ring, (x + ring.constant(k) * y,)).groebner_basis()
+            assert len(groebner._GB_MEMO) <= bound
+            return got
+
+        def memoised(k):
+            key = Ideal(ring, (x + ring.constant(k) * y,))._presentation()
+            return any(entry[1] == key for entry in groebner._GB_MEMO)
+
+        first = basis(1)
+        for k in range(2, bound + 1):
+            basis(k)
+        assert memoised(1)
+        assert basis(1) == first  # a hit makes the first ideal the most recent
+        basis(bound + 1)
+        assert memoised(1) and not memoised(2)
+        for k in range(bound + 2, 2 * bound + 2):
+            basis(k)
+        assert not memoised(1)
+        assert basis(1) == first == (x + y,)
+
+
+class TestIdealEquality:
+    def test_presentation_equality_and_hash(self, R22, segre_quadric):
+        a = Ideal(R22, (segre_quadric, R22.x(1)))
+        b = Ideal(R22, (R22.parse("x2*y2 + x1*y1"), R22.x(1)))
+        assert a == b and hash(a) == hash(b)
+        swapped = Ideal(R22, (R22.x(1), segre_quadric))
+        assert a != swapped and a.equals(swapped)
+        assert a != Ideal(BigradedRing(2, 3), (BigradedRing(2, 3).x(1),))
+        assert len({a, b, swapped}) == 2
 
 
 class TestKrullDim:

@@ -196,6 +196,13 @@ class TestClassify:
         level = verdict.filtration.levels[0]
         assert (level.grade, level.cd) == (1, 2)
 
+    def test_is_seq_cm_verdict_equals_classify(self, R22, segre_quadric):
+        """Both deciders give one verdict on the Segre quadric; verdicts
+        compare by value, ideals included."""
+        for block in (P, Q):
+            verdict = is_seq_cm(Ideal(R22, (segre_quadric,)), block)
+            assert verdict == classify_hypersurface(segre_quadric, block)
+
     def test_monomial_certificate_matches_dimension_filtration(self, R22):
         f = R22.parse("x1*y1")
         verdict = classify_hypersurface(f, Q)

@@ -164,6 +164,20 @@ class TestStructuralMaps:
         got = p.substitute_variable(R22.variable_index("y1"), repl)
         assert got == R22.parse("x1^2*y1 - x1^2*y2 + y1 - y2")
 
+    def test_substitute_variable_matches_term_by_term_sum(self, R22):
+        """Cancelling terms leave no zero coefficients behind."""
+        y1 = R22.variable_index("y1")
+        p = R22.parse("x1*y1^2 - x1*y2^2 + 3*x2*y1 - 3*x2*y2 + x1^2")
+        repl = R22.parse("y2")
+        got = p.substitute_variable(y1, repl)
+        assert got == R22.parse("x1^2") and all(got.terms.values())
+        repl = R22.parse("2*y1 - x1 + 1/2*y2")
+        expected = R22.zero()
+        for exps, c in p.terms.items():
+            base = exps[:y1] + (0,) + exps[y1 + 1 :]
+            expected = expected + (repl ** exps[y1]).mul_term(c, base)
+        assert p.substitute_variable(y1, repl) == expected
+
     def test_ring_invariants(self):
         with pytest.raises(ValueError):
             BigradedRing(2, 0)
