@@ -16,9 +16,15 @@ and seed) and uses the exit codes
        grade, depth, relcm and seqcm need a bigraded ideal, a homogeneous
        one for the m block)
     3  the problem file failed to parse
+    4  ``--verify`` found a disagreement; each one is printed to stderr as
+       ``<file>: verify: <disagreement>``
+    5  the engine could not decide: the randomized regular-form search ran
+       out of its retry budget (over a small prime field) or the cd rules
+       for a subquotient did not apply
 
-``--verify`` replays each certificate level from the emitted document alone
-and fails loudly on any disagreement.
+``--verify`` replays each certificate level from the emitted document alone.
+Files are processed in sorted order, and a batch stops at the first file
+that fails: its code is returned and the later files are not read.
 """
 
 from __future__ import annotations
@@ -32,11 +38,12 @@ from dataclasses import dataclass
 
 from .certificates import SeqCMVerdict
 from .errors import (
-    CertificateVerificationError,
+    NoRegularFormError,
     NotBihomogeneousError,
     NotMonomialError,
     ParseError,
     SeqcmError,
+    UndecidableByRulesError,
     UnitIdealError,
     UnsupportedIdealClassError,
     ZeroModuleError,
@@ -500,7 +507,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    exit_code = 0
     for path in sorted(args.files):
         try:
             with open(path, "r", encoding="utf-8") as handle:
@@ -524,17 +530,18 @@ def main(argv=None) -> int:
         except _UNSUPPORTED as exc:
             print(f"{path}: unsupported input: {exc}", file=sys.stderr)
             return 2
+        except (NoRegularFormError, UndecidableByRulesError) as exc:
+            print(f"{path}: undecided: {exc}", file=sys.stderr)
+            return 5
         sys.stdout.write(render_document(doc, args.format))
         if args.verify:
             problems = verify_certificate(doc)
             if problems:
                 for problem_line in problems:
                     print(f"{path}: verify: {problem_line}", file=sys.stderr)
-                raise CertificateVerificationError(
-                    f"{len(problems)} certificate disagreement(s) in {path}"
-                )
+                return 4
             sys.stdout.write("verified: certificate levels recomputed and agree\n")
-    return exit_code
+    return 0
 
 
 def main_entry():

@@ -2,18 +2,25 @@
 Cohen-Macaulay decision.
 
 A monomial ideal splits into primary components by the classic coprime-
-generator recursion; components are labeled with the cd of S modulo their
-radical (a variable count for the chosen block).  Sorting the distinct cd
-values c_1 < ... < c_r, the chain
+generator recursion, whose leaves are generated by pure powers of
+variables.  Leaves with the same radical are merged into one component by
+intersection, and redundant components are dropped.  A pure-power ideal is
+irreducible: it contains an intersection of monomial ideals only when it
+contains one of them.  So a component contains the intersection of the
+others exactly when each of its leaves contains a leaf of another
+component, and the redundancy test intersects nothing.  Components are
+labeled with the cd of S modulo their radical (a variable count for the
+chosen block).  Sorting the distinct cd values c_1 < ... < c_r, the chain
 
     D_i = intersection of the components with cd > c_i
 
-interpolates from D_0 = I to D_r = (1); its quotients D_i/D_{i-1} are
-isomorphic to (D_i + E_i)/E_i where E_i intersects the level-i components.
-That chain is taken as the dimension filtration with respect to the block
-(its maximality is validated by a brute-force oracle in the test suite, not
-assumed), and the module is sequentially Cohen-Macaulay iff every quotient
-has grade equal to its cd.
+interpolates from D_0 = I to D_r = (1).  With E_i the intersection of the
+level-i components, it is built by one fold from the top down,
+D_{i-1} = D_i ∩ E_i, so each intersection is computed once.  Its quotients
+D_i/D_{i-1} are isomorphic to (D_i + E_i)/E_i.  That chain is taken as the
+dimension filtration with respect to the block (its maximality is validated
+by a brute-force oracle in the test suite, not assumed), and the module is
+sequentially Cohen-Macaulay iff every quotient has grade equal to its cd.
 
 Inputs outside the supported classes (monomial, principal bihomogeneous, or
 cd <= 1) are rejected loudly: a wrong verdict is worse than no verdict.
@@ -22,6 +29,8 @@ cd <= 1) are rejected loudly: a wrong verdict is worse than no verdict.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
+from itertools import accumulate
 
 from .certificates import (
     CMFiltration,
@@ -128,10 +137,12 @@ def monomial_primary_decomposition(
 ) -> PrimaryDecomposition:
     """Irredundant primary decomposition of a proper monomial ideal.
 
-    Same-radical components are merged by intersection first, then redundant
-    components (those containing the intersection of the others) are dropped,
-    so distinct components have distinct radicals and the component radicals
-    are exactly the associated primes.
+    Same-radical leaves of the split are merged by intersection, and
+    redundant components (those containing the intersection of the others)
+    are dropped, so distinct components have distinct radicals and the
+    component radicals are exactly the associated primes.  Redundancy is
+    read off the irreducible leaves (see the module docstring); radicals
+    are scanned by size, and after each drop the scan starts again.
     """
     if not I.is_monomial_ideal():
         raise NotMonomialError("primary decomposition implemented for monomial ideals")
@@ -146,39 +157,30 @@ def monomial_primary_decomposition(
     families = _split_pure_power_families([_minimal_monomials(
         e for g in I.gens for e in g.terms
     )])
-
-    by_radical: dict = {}
+    leaves: dict = {}
     for monos in families:
         variables = frozenset(i for m in monos for i in mono_support(m))
-        prev = by_radical.get(variables)
-        by_radical[variables] = (
-            monos if prev is None else _intersect_monomials(prev, monos)
-        )
+        leaves.setdefault(variables, []).append(monos)
 
-    radicals = sorted(by_radical, key=lambda vs: (len(vs), sorted(vs)))
-    # Drop components containing the intersection of all the others.
+    radicals = sorted(leaves, key=lambda vs: (len(vs), sorted(vs)))
+    # Drop the first component containing the intersection of the others,
+    # then rescan.  Each leaf is irreducible, so it contains that intersection
+    # exactly when it contains one of the other components' leaves.
     while True:
-        dropped = False
         for k, rad in enumerate(radicals):
-            others = None
-            for j, rad2 in enumerate(radicals):
-                if j == k:
-                    continue
-                others = (
-                    by_radical[rad2]
-                    if others is None
-                    else _intersect_monomials(others, by_radical[rad2])
-                )
-            if others is not None and _contains_monomials(by_radical[rad], others):
+            others = [leaf for rad2 in radicals if rad2 != rad for leaf in leaves[rad2]]
+            if all(
+                any(_contains_monomials(leaf, other) for other in others)
+                for leaf in leaves[rad]
+            ):
                 del radicals[k]
-                dropped = True
                 break
-        if not dropped:
+        else:
             break
 
     components = []
     for rad in radicals:
-        primary = _monomial_ideal(ring, by_radical[rad])
+        primary = _monomial_ideal(ring, _intersect_all(leaves[rad]))
         radical = _variable_prime(ring, rad)
         components.append(
             PrimaryComponent(primary, radical, cd_of_prime(radical, block))
@@ -192,11 +194,8 @@ def monomial_primary_decomposition(
     )
 
     # The intersection of the components must reproduce the input exactly.
-    total = None
-    for comp in components:
-        monos = comp.primary.minimal_monomial_generators()
-        total = monos if total is None else _intersect_monomials(total, monos)
-    if tuple(total) != tuple(_minimal_monomials(e for g in I.gens for e in g.terms)):
+    total = _intersect_all(c.primary.minimal_monomial_generators() for c in components)
+    if total != _minimal_monomials(e for g in I.gens for e in g.terms):
         raise CertificateVerificationError(
             "primary decomposition does not intersect back to the input"
         )
@@ -210,6 +209,12 @@ def _divides_into(monos: tuple, m: tuple) -> bool:
 def _contains_monomials(container: tuple, members: tuple) -> bool:
     """Whether the monomial ideal spanned by ``container`` contains every member."""
     return all(_divides_into(container, m) for m in members)
+
+
+def _intersect_all(monomial_ideals) -> tuple:
+    """Minimal generators of the intersection of a nonempty iterable of
+    monomial ideals, each given by its minimal generators."""
+    return reduce(_intersect_monomials, monomial_ideals)
 
 
 # ---- dimension filtration ------------------------------------------------------------
@@ -238,39 +243,23 @@ class DimensionFiltration:
 def dimension_filtration(I: Ideal, block: VariableBlock) -> DimensionFiltration:
     """The chain D_i = ∩ {q_k : cd(q_k) > c_i} from the primary decomposition.
 
+    Built as D_r = (1) and D_{i-1} = D_i ∩ E_i down to D_1; D_0 is I itself.
     Strictness of the inclusions follows from irredundancy and is re-checked
     here; each quotient D_i/D_{i-1} is nonzero with cd equal to c_i.
     """
     decomposition = monomial_primary_decomposition(I, block)
     ring = I.ring
-    values = decomposition.cd_values()
-    slices = []
-    chain = [I]
-    previous = None
-    for c in values:
+    slices, e_monos = [], []
+    for c in decomposition.cd_values():
         level_comps = tuple(
             comp for comp in decomposition.components if comp.cd_value == c
         )
-        e_monos = None
-        for comp in level_comps:
-            monos = comp.primary.minimal_monomial_generators()
-            e_monos = monos if e_monos is None else _intersect_monomials(e_monos, monos)
-        slices.append(
-            FiltrationSlice(c, _monomial_ideal(ring, e_monos), level_comps)
-        )
-    for idx in range(len(values)):
-        above = [
-            comp for comp in decomposition.components if comp.cd_value > values[idx]
-        ]
-        if not above:
-            d_ideal = Ideal.unit(ring)
-        else:
-            monos = None
-            for comp in above:
-                mm = comp.primary.minimal_monomial_generators()
-                monos = mm if monos is None else _intersect_monomials(monos, mm)
-            d_ideal = _monomial_ideal(ring, monos)
-        chain.append(d_ideal)
+        e_monos.append(_intersect_all(
+            comp.primary.minimal_monomial_generators() for comp in level_comps
+        ))
+        slices.append(FiltrationSlice(c, _monomial_ideal(ring, e_monos[-1]), level_comps))
+    above = list(accumulate(reversed(e_monos[1:]), _intersect_monomials))
+    chain = [I, *(_monomial_ideal(ring, d) for d in reversed(above)), Ideal.unit(ring)]
     for lower, upper in zip(chain, chain[1:]):
         if not upper.contains_ideal(lower) or upper.equals(lower):
             raise CertificateVerificationError("dimension filtration chain not strict")

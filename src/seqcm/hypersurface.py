@@ -8,12 +8,13 @@ most one; the split, when it exists, is read off a nonzero row and column
 and re-verified by exact expansion.  A returned None is backed by a
 fraction-free rank computation certifying rank >= 2.
 
-When a, b > 0 and f = h1*h2, the two-level chain (f) ⊂ (h_i) ⊂ (1) is a
-Cohen-Macaulay filtration; which factor sits in the middle depends on the
-block.  Rather than fixing the assignment by symmetry, both candidates are
-verified through the cd/grade machinery (using the cyclic isomorphisms
-(h)/(f) ≅ S/(cofactor)) and the one with strictly increasing level cds is
-emitted; if neither verifies, something is inconsistent and we raise.
+When a, b > 0 and f = h1*h2, the two-level chain (f) ⊂ (middle) ⊂ (1) is a
+Cohen-Macaulay filtration, and the cd formula fixes the middle factor: h1
+for Q and h2 for P.  With respect to Q, say, S/(h1) has cd n and
+(h1)/(f) ≅ S/(h2) has cd n - 1, while the other order would put the larger
+cd at the bottom.  The chain is still verified through the cd/grade
+machinery (using the cyclic isomorphism (middle)/(f) ≅ S/(cofactor)); if it
+fails, something is inconsistent and we raise.
 """
 
 from __future__ import annotations
@@ -289,17 +290,15 @@ def classify_hypersurface(
                 "one-sided hypersurface must be relative CM"
             )
         return single_level_verdict(I, block, report, Route.HYPERSURFACE_RANK1)
-    candidates = (
-        ((split.h1, split.h2), (split.h2, split.h1))
-        if block is VariableBlock.Q
-        else ((split.h2, split.h1), (split.h1, split.h2))
-    )
-    for middle, cofactor in candidates:
-        filtration = _two_level_certificate(f, middle, cofactor, block, seed)
-        if filtration is not None:
-            return SeqCMVerdict(
-                decision=True, filtration=filtration, route=Route.HYPERSURFACE_RANK1
-            )
-    raise CertificateVerificationError(
-        "split found but neither two-level chain verified"
+    if block is VariableBlock.Q:
+        middle, cofactor = split.h1, split.h2
+    else:
+        middle, cofactor = split.h2, split.h1
+    filtration = _two_level_certificate(f, middle, cofactor, block, seed)
+    if filtration is None:
+        raise CertificateVerificationError(
+            "split found but the two-level chain did not verify"
+        )
+    return SeqCMVerdict(
+        decision=True, filtration=filtration, route=Route.HYPERSURFACE_RANK1
     )

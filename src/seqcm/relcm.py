@@ -302,26 +302,25 @@ def find_regular_linear_form(
     """A linear form in the block variables that is regular on A/B.
 
     Coefficients come from a deterministic stream seeded by ``seed``; the
-    integer range widens on every retry.  Precondition: H^0 of the pair
-    vanishes, so a regular form exists over a large enough field.
+    integer range widens on every retry.  This is the first step of
+    :func:`grade_wrt`'s search, so it raises :class:`NoRegularFormError`
+    when H^0 of the pair is nonzero (no form is regular) or when the retry
+    budget runs out (the field is too small).
     """
-    rng = random.Random(seed)
-    ell = _search_regular_form(pair, block, rng, check_h0=False)
+    ell = _search_regular_form(pair, block, random.Random(seed))
     if ell is None:
         raise NoRegularFormError(
-            "no regular linear form found within the retry budget; "
-            "the module either has H^0 != 0 or the field is too small"
+            "H^0 of the module is nonzero, so no linear form is regular on it"
         )
     return ell
 
 
-def _search_regular_form(pair, block, rng, *, check_h0: bool):
+def _search_regular_form(pair, block, rng):
     """Regular form for one grade step, or None once H^0 != 0 is proven.
 
-    When ``check_h0`` is set, an exact test decides H^0 once
-    ``_EXACT_H0_AFTER + 1`` candidates have failed, keeping the grade value
-    itself seed independent.  A regular form drawn before that skips the
-    test: it proves H^0 = 0 on its own.
+    An exact test decides H^0 once ``_EXACT_H0_AFTER + 1`` candidates have
+    failed, keeping the grade value itself seed independent.  A regular
+    form drawn before that skips the test: it proves H^0 = 0 on its own.
     """
     ring = pair.ring
     indices = block.variable_indices(ring)
@@ -334,11 +333,11 @@ def _search_regular_form(pair, block, rng, *, check_h0: bool):
         ell = _draw_form(ring, indices, rng, span, prefer_last)
         if is_regular_form(pair, ell):
             return ell
-        if check_h0 and not h0_known_zero and attempt >= _EXACT_H0_AFTER:
+        if not h0_known_zero and attempt >= _EXACT_H0_AFTER:
             if not h0_is_zero(pair, block):
                 return None
             h0_known_zero = True
-    if check_h0 and not h0_known_zero and not h0_is_zero(pair, block):
+    if not h0_known_zero and not h0_is_zero(pair, block):
         return None
     raise NoRegularFormError(
         "regular linear forms exist but none was found within the retry "
@@ -374,7 +373,7 @@ def grade_wrt(
     sequence = []
     bound = len(block.variable_indices(pair.ring))
     while _stop is None or len(sequence) < _stop:
-        ell = _search_regular_form(current, block, rng, check_h0=True)
+        ell = _search_regular_form(current, block, rng)
         if ell is None:
             break
         sequence.append(ell)

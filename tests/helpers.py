@@ -12,32 +12,48 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from seqcm.groebner import Ideal, _eliminate_first_aux, _reduce_terms, exact_div
-from seqcm.poly import BigradedRing, Polynomial, mono_degree, mono_divides
+from seqcm.filtration import (
+    DimensionFiltration,
+    FiltrationSlice,
+    PrimaryComponent,
+    PrimaryDecomposition,
+    _split_pure_power_families,
+    cd_of_prime,
+)
+from seqcm.groebner import (
+    Ideal,
+    _eliminate_first_aux,
+    _intersect_monomials,
+    _minimal_monomials,
+    _monomial_ideal,
+    _reduce_terms,
+    exact_div,
+)
+from seqcm.poly import BigradedRing, Polynomial, mono_degree, mono_divides, mono_support
 from seqcm.relcm import VariableBlock, cd_wrt
 
 
 # ---- enumeration ------------------------------------------------------------------
 
 
-def monomials_up_to(ring: BigradedRing, max_degree: int):
-    """All exponent tuples of total degree <= max_degree (including 1)."""
+def monomials_of_degree(ring: BigradedRing, degree: int):
+    """All exponent tuples of total degree exactly ``degree``."""
     nv = ring.nvars
     out = []
-    for deg in range(max_degree + 1):
-        for bars in itertools.combinations(range(deg + nv - 1), nv - 1):
-            exps = []
-            prev = -1
-            for bar in bars:
-                exps.append(bar - prev - 1)
-                prev = bar
-            exps.append(deg + nv - 1 - prev - 1)
-            out.append(tuple(exps))
+    for bars in itertools.combinations(range(degree + nv - 1), nv - 1):
+        exps = []
+        prev = -1
+        for bar in bars:
+            exps.append(bar - prev - 1)
+            prev = bar
+        exps.append(degree + nv - 1 - prev - 1)
+        out.append(tuple(exps))
     return out
 
 
-def monomials_of_degree(ring: BigradedRing, degree: int):
-    return [e for e in monomials_up_to(ring, degree) if mono_degree(e) == degree]
+def monomials_up_to(ring: BigradedRing, max_degree: int):
+    """All exponent tuples of total degree <= max_degree (including 1)."""
+    return [e for deg in range(max_degree + 1) for e in monomials_of_degree(ring, deg)]
 
 
 # ---- random generators --------------------------------------------------------------
@@ -135,31 +151,37 @@ def _solvable(rows):
 
 
 def dense_membership(f: Polynomial, I: Ideal, max_degree: int = 6) -> bool:
-    """Decide f in I by solving for a coefficient combination up to max_degree.
+    """Decide f in I for homogeneous generators by exact linear algebra.
 
-    Sound always; complete when the generators are homogeneous and
-    deg f <= max_degree (membership then has degree-matched witnesses, one
-    per graded piece of f).  Inhomogeneous ideals can need combination
-    degrees beyond any fixed budget, so callers feed homogeneous inputs.
+    I is then graded, so f lies in I iff each homogeneous component f_d lies
+    in I_d, the span of the products mu*g with deg(mu*g) = d.  Each f_d is
+    decided by one linear system over those products; a component of degree
+    above max_degree counts as outside I.  Sound always, and complete when
+    deg f <= max_degree.
     """
-    ring = I.ring
-    if not f:
-        return True
-    columns = []
-    for g in I.gens:
-        dg = g.total_degree()
-        for mu in monomials_up_to(ring, max_degree - dg):
-            columns.append(g.mul_term(Fraction(1), mu))
-    basis = {}
-    for p in columns + [f]:
-        for e in p.terms:
-            basis.setdefault(e, len(basis))
-    rows = []
-    for e, idx in basis.items():
-        row = [col.terms.get(e, Fraction(0)) for col in columns]
-        row.append(f.terms.get(e, Fraction(0)))
-        rows.append(row)
-    return _solvable(rows)
+    gens = I.gens
+    assert all(g.is_homogeneous() for g in gens), "generators must be homogeneous"
+    components: dict = {}
+    for e, c in f.terms.items():
+        components.setdefault(mono_degree(e), {})[e] = c
+    for degree, f_d in components.items():
+        if degree > max_degree:
+            return False
+        columns = [
+            g.mul_term(Fraction(1), mu)
+            for g in gens
+            if g.total_degree() <= degree
+            for mu in monomials_of_degree(I.ring, degree - g.total_degree())
+        ]
+        basis = dict.fromkeys([e for col in columns for e in col.terms] + list(f_d))
+        zero = Fraction(0)
+        rows = [
+            [col.terms.get(e, zero) for col in columns] + [f_d.get(e, zero)]
+            for e in basis
+        ]
+        if not _solvable(rows):
+            return False
+    return True
 
 
 # ---- slow (elimination-only) ideal calculus -------------------------------------------
@@ -236,6 +258,82 @@ def multipass_autoreduce(polys: list, keyfn) -> tuple:
                 changed = True
     minimal.sort(key=lambda p: keyfn(p.leading_monomial(keyfn)), reverse=True)
     return tuple(minimal)
+
+
+# ---- intersection-based decomposition and chain ---------------------------------------
+
+
+def _fold_intersections(monomial_ideals):
+    acc = None
+    for monos in monomial_ideals:
+        acc = monos if acc is None else _intersect_monomials(acc, monos)
+    return acc
+
+
+def intersection_primary_decomposition(I: Ideal, block) -> PrimaryDecomposition:
+    """Irredundant primary decomposition of a proper nonzero monomial ideal
+    that tests each component against the intersection of all the others:
+    the reference for the leaf test of
+    ``filtration.monomial_primary_decomposition``."""
+    ring = I.ring
+    families = _split_pure_power_families(
+        [_minimal_monomials(e for g in I.gens for e in g.terms)]
+    )
+    by_radical: dict = {}
+    for monos in families:
+        variables = frozenset(i for m in monos for i in mono_support(m))
+        prev = by_radical.get(variables)
+        by_radical[variables] = (
+            monos if prev is None else _intersect_monomials(prev, monos)
+        )
+    radicals = sorted(by_radical, key=lambda vs: (len(vs), sorted(vs)))
+    dropped = True
+    while dropped:
+        dropped = False
+        for k, rad in enumerate(radicals):
+            others = _fold_intersections(
+                by_radical[rad2] for j, rad2 in enumerate(radicals) if j != k
+            )
+            if others is not None and all(
+                any(mono_divides(g, m) for g in by_radical[rad]) for m in others
+            ):
+                del radicals[k]
+                dropped = True
+                break
+    components = []
+    for rad in radicals:
+        radical = Ideal(ring, tuple(ring.gen(i) for i in sorted(rad)))
+        components.append(PrimaryComponent(
+            _monomial_ideal(ring, by_radical[rad]), radical, cd_of_prime(radical, block)
+        ))
+    components.sort(key=lambda c: (
+        c.cd_value, sorted(c.variables), c.primary.minimal_monomial_generators()
+    ))
+    return PrimaryDecomposition(I, block, tuple(components))
+
+
+def intersection_dimension_filtration(I: Ideal, block) -> DimensionFiltration:
+    """The chain D_i = ∩ {q_k : cd(q_k) > c_i} with every D_i intersected
+    from scratch: the reference for the one-fold chain of
+    ``filtration.dimension_filtration``."""
+    ring = I.ring
+    components = intersection_primary_decomposition(I, block).components
+    values = sorted({c.cd_value for c in components})
+    slices = []
+    chain = [I]
+    for c in values:
+        level = tuple(comp for comp in components if comp.cd_value == c)
+        e_monos = _fold_intersections(
+            comp.primary.minimal_monomial_generators() for comp in level
+        )
+        slices.append(FiltrationSlice(c, _monomial_ideal(ring, e_monos), level))
+        above = _fold_intersections(
+            comp.primary.minimal_monomial_generators()
+            for comp in components
+            if comp.cd_value > c
+        )
+        chain.append(Ideal.unit(ring) if above is None else _monomial_ideal(ring, above))
+    return DimensionFiltration(I, block, tuple(chain), tuple(slices))
 
 
 # ---- brute-force submodule oracle ------------------------------------------------------

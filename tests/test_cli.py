@@ -133,6 +133,31 @@ class TestExitCodes:
         assert json.loads(out)["block"] == "P"
 
 
+    def test_exhausted_search_is_five(self, tmp_path, capsys):
+        """Over GF(2) every linear y-form divides y1*y2*(y1+y2), so the
+        regular-form search runs out of its budget."""
+        path = write_problem(
+            tmp_path, "ring m=1 n=2 field=GF(2)\nideal x1*y1*y2*(y1+y2)\n"
+        )
+        code, out, err = run_cli(capsys, "relcm", path, "--wrt", "Q")
+        assert code == 5
+        assert out == ""
+        assert err.startswith(f"{path}: undecided: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_failed_verify_is_four(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr(
+            "seqcm.cli.verify_certificate", lambda doc: ["level 1: forged"]
+        )
+        first = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1*y1\n", "a.ring")
+        second = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1\n", "b.ring")
+        code, out, err = run_cli(capsys, "seqcm", second, first, "--verify")
+        assert code == 4
+        assert err == f"{first}: verify: level 1: forged\n"
+        assert out.count("command: seqcm") == 1  # the batch stops at a.ring
+        assert "verified" not in out
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1*y1\n")

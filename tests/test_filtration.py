@@ -5,12 +5,15 @@ import pytest
 from helpers import (
     cyclic_submodule_cd,
     ideals_equal,
+    intersection_dimension_filtration,
+    intersection_primary_decomposition,
     monomials_up_to,
     random_monomial_ideal,
 )
 from seqcm.certificates import Route
 from seqcm.errors import NotMonomialError, UnsupportedIdealClassError
 from seqcm.filtration import (
+    _split_pure_power_families,
     cd_of_prime,
     dimension_filtration,
     is_seq_cm,
@@ -174,6 +177,58 @@ class TestDimensionFiltration:
                 assert cyclic_submodule_cd(I, u, Q) == c_top
                 checked += 1
         assert checked > 50
+
+
+class TestAgainstIntersectionReference:
+    """The leaf redundancy test and the one-fold chain give the same
+    components, chain and slices, generator for generator, as intersecting
+    all the other components for every test and every chain ideal."""
+
+    @staticmethod
+    def assert_matches(I, block):
+        decomposition = monomial_primary_decomposition(I, block)
+        assert decomposition == intersection_primary_decomposition(I, block)
+        assert dimension_filtration(I, block) == intersection_dimension_filtration(
+            I, block
+        )
+        return decomposition
+
+    def test_dropped_component(self, R22):
+        # The leaves are (x1), (x1, y1) and (x2, y1); (x1, y1) contains (x1).
+        I = Ideal(R22, (R22.parse("x1*y1"), R22.parse("x1*x2")))
+        for block in (P, Q, M):
+            decomposition = self.assert_matches(I, block)
+            radsets = {tuple(radical_vars(c)) for c in decomposition.components}
+            assert radsets == {(0,), (1, 2)}
+
+    def test_component_kept_by_one_leaf(self, R22):
+        # The {x1, x2} component merges the leaves (x1^2, x2) and (x1, x2^3).
+        # (x1^2, x2) contains the leaf (x2) of another component, but
+        # (x1, x2^3) contains no other leaf, so the component stays.
+        gens = ("x1^2*x2", "x2^3*y1", "x1*x2*y1*y2")
+        I = Ideal(R22, tuple(R22.parse(g) for g in gens))
+        for block in (P, Q, M):
+            decomposition = self.assert_matches(I, block)
+            radsets = {tuple(radical_vars(c)) for c in decomposition.components}
+            assert radsets == {(1,), (0, 1), (0, 2), (0, 1, 3)}
+
+    def test_random_ideals(self):
+        rng = random.Random(310)
+        checked = dropped = 0
+        for ring in (BigradedRing(2, 2), BigradedRing(3, 3), BigradedRing(4, 4)):
+            for _ in range(40):
+                I = random_monomial_ideal(rng, ring, max_gens=5)
+                monos = I.minimal_monomial_generators()
+                leaf_radicals = {
+                    frozenset(i for m in leaf for i, e in enumerate(m) if e)
+                    for leaf in _split_pure_power_families([monos])
+                }
+                for block in (P, Q, M):
+                    decomposition = self.assert_matches(I, block)
+                    checked += 1
+                dropped += len(decomposition.components) < len(leaf_radicals)
+        assert checked == 360
+        assert dropped >= 10  # the drop path is exercised
 
 
 class TestSeqCmRouting:

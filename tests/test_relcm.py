@@ -108,6 +108,26 @@ class TestRegularForms:
         assert not is_regular_form(pair, R22.y(1))
         assert not is_regular_form(pair, R22.y(2))
 
+    def test_first_step_of_the_grade_search(self, R22):
+        rng = random.Random(120)
+        checked = 0
+        for _ in range(15):
+            pair = IdealPair.cyclic(random_monomial_ideal(rng, R22))
+            if not h0_is_zero(pair, Q):
+                continue
+            for seed in (0, 1):
+                witness = grade_wrt(pair, Q, seed)
+                assert find_regular_linear_form(pair, Q, seed) == witness.regular_sequence[0]
+                checked += 1
+        assert checked >= 10
+
+    def test_nonzero_h0_raises(self, R22):
+        # x1 is killed by Q = (y1, y2) in S/(x1*y1, x1*y2).
+        pair = IdealPair.cyclic(Ideal(R22, (R22.parse("x1*y1"), R22.parse("x1*y2"))))
+        assert not h0_is_zero(pair, Q)
+        with pytest.raises(NoRegularFormError, match="H\\^0"):
+            find_regular_linear_form(pair, Q, seed=0)
+
     def test_fast_path_matches_elimination_definition(self, R22):
         """Q-block, P-block and mixed forms: the pivot coordinate path
         against the elimination definition."""
