@@ -277,9 +277,7 @@ def _cyclic_report(I: Ideal, block: VariableBlock, seed: int) -> CdGradeReport:
     return is_relative_cm(IdealPair.cyclic(I), block, seed)
 
 
-def _cd_le_1_verdict(
-    I: Ideal, block: VariableBlock, seed: int, report: CdGradeReport
-) -> SeqCMVerdict:
+def _cd_le_1_verdict(I: Ideal, block: VariableBlock, seed: int) -> SeqCMVerdict:
     """cd <= 1 always admits the chain I ⊊ sat(I) ⊊ (1) with level cds (0, 1)."""
     ring = I.ring
     sat = saturation(I, block.ideal(ring))
@@ -387,7 +385,7 @@ def _routed_verdict(
     if report.relative_cm:
         return single_level_verdict(I, block, report, Route.RELATIVE_CM)
     if report.cd <= 1:
-        return _cd_le_1_verdict(I, block, seed, report)
+        return _cd_le_1_verdict(I, block, seed)
     if I.is_monomial_ideal():
         return _monomial_verdict(I, block, seed, report)
     gens = I.gens

@@ -3,7 +3,8 @@
 Buchberger's algorithm with Gebauer-Moller pair pruning and normal (minimal
 lcm) selection, returning the unique reduced basis.  On top of it: ideal
 membership, intersection (one auxiliary variable plus a block elimination
-order), ideal quotient, saturation, and Krull dimension via maximal
+order), ideal quotient, saturation by rounds of colons (one round is the
+H^0 test of :mod:`seqcm.relcm`), and Krull dimension via maximal
 independent variable sets of the leading-term ideal.
 
 Monomial ideals take combinatorial shortcuts everywhere (their reduced basis
@@ -367,6 +368,8 @@ class Ideal:
             return False
         if any(g.is_constant() for g in self.gens):
             return True
+        if self.is_homogeneous():
+            return False  # nonconstant forms lie in the ideal of the variables
         gb = self.groebner_basis()
         return len(gb) == 1 and gb[0].is_constant()
 
@@ -543,18 +546,27 @@ def ideal_quotient(I: Ideal, f: Polynomial) -> Ideal:
     return Ideal(I.ring, tuple(exact_div(g, f) for g in inter.gens))
 
 
+def _colon_ideal(I: Ideal, J: Ideal) -> Ideal:
+    """One colon round (I : J) = ∩_g (I : g) over the generators g of J, or
+    I itself (the same object) once the running intersection lies inside I:
+    every (I : g) contains I, so then the whole intersection is I."""
+    running = None
+    for g in J.gens:
+        quotient = ideal_quotient(I, g)
+        running = quotient if running is None else intersect(running, quotient)
+        if I.contains_ideal(running):
+            return I
+    return running
+
+
 def saturation(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J^infinity): iterate I <- ∩_g (I : g) over the generators of J."""
+    """(I : J^infinity): colon rounds I <- (I : J) until one adds nothing."""
     if J.is_zero_ideal():
         raise ZeroPolynomialError("saturation by the zero ideal")
     current = I
     while True:
-        step = None
-        for g in J.gens:
-            q = ideal_quotient(current, g)
-            step = q if step is None else intersect(step, q)
-        # step always contains current, so one containment decides equality
-        if current.contains_ideal(step):
+        step = _colon_ideal(current, J)
+        if step is current:
             return current
         current = step
 

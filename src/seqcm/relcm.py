@@ -23,14 +23,15 @@ H^0 != 0.  cd is read off dimension only for such modules, so
 :func:`cd_wrt`, :func:`grade_wrt` and :func:`is_relative_cm` reject any
 other input.
 
-The regular-element test is (B : l) ∩ A ⊆ B, a pure Groebner computation.
-For homogeneous B and linear l the test is accelerated by a linear change
-of coordinates sending l to its pivot, the largest-index variable it
-involves; with the pivot last in grevlex, regularity is visible on the
-initial ideal (Bayer-Stillman).  The P, Q and m blocks share this one
-coordinate path: a drawn form's pivot is its block's last variable.  The
-elimination-based test remains the reference and the two are compared in
-the test suite.
+H^0 = 0 and the regularity of a form l are one colon condition,
+(B : J) ∩ A ⊆ B for J the block ideal or (l).  H^0 takes one colon round of
+:mod:`seqcm.groebner` by the block generators.  A linear l over homogeneous
+B is tested after a linear change of coordinates sending l to its pivot,
+the largest-index variable it involves; with the pivot last in grevlex,
+regularity is visible on the initial ideal (Bayer-Stillman).  The P, Q and
+m blocks share this one coordinate path: a drawn form's pivot is its
+block's last variable.  The test suite keeps the elimination route of the
+colon as the reference for both tests.
 """
 
 from __future__ import annotations
@@ -46,7 +47,7 @@ from .errors import (
     UndecidableByRulesError,
     ZeroModuleError,
 )
-from .groebner import Ideal, colon_by_variable, ideal_quotient, intersect, krull_dim
+from .groebner import Ideal, _colon_ideal, colon_by_variable, intersect, krull_dim
 from .orders import MonomialOrder
 from .poly import BigradedRing, Polynomial
 
@@ -207,25 +208,19 @@ def cd_subquotient(
 def h0_is_zero(pair: IdealPair, block: VariableBlock) -> bool:
     """Whether H^0_block(A/B) = (sat(B) ∩ A)/B vanishes.
 
-    Decided by the single colon round (B : block) ∩ A ⊆ B: a nonzero torsion
-    submodule always contains an element killed by the block ideal itself,
-    so the first round of the saturation already detects nonvanishing.  The
-    test suite checks this against the full saturation route.
+    Decided by the first colon round T = (B : block) of the saturation:
+    H^0 = 0 iff T is B or T ∩ A ⊆ B.  A nonzero torsion submodule always
+    contains an element killed by the block ideal itself, so one round
+    detects nonvanishing.  The test suite checks this against the full
+    saturation route.
     """
     if pair.is_zero_module():
         raise ZeroModuleError("H^0 of the zero module")
     blk = block.ideal(pair.ring)
     if blk.is_zero_ideal():
         return False  # torsion functor of the zero ideal is the identity
-    running = None
-    for g in blk.gens:
-        quotient = ideal_quotient(pair.b, g)
-        running = quotient if running is None else intersect(running, quotient)
-        if pair.b.contains_ideal(running):
-            return True  # the full intersection is squeezed inside B already
-    if pair.is_cyclic():
-        return pair.b.contains_ideal(running)
-    return pair.b.contains_ideal(intersect(running, pair.a))
+    torsion = _colon_ideal(pair.b, blk)
+    return torsion is pair.b or pair.b.contains_ideal(intersect(torsion, pair.a))
 
 
 def _linear_form(ring: BigradedRing, indices, coeffs) -> Polynomial:
@@ -242,25 +237,28 @@ def _pivot_substitution(ring: BigradedRing, ell: Polynomial, pivot: int) -> Poly
     """The replacement making the coordinate change send l to its pivot variable."""
     coeffs = {exps.index(1): c for exps, c in ell.terms.items()}
     inv = ring.field.one / coeffs.pop(pivot)
-    repl_terms = {tuple(1 if i == pivot else 0 for i in range(ring.nvars)): inv}
-    for i, c in coeffs.items():
-        repl_terms[tuple(1 if j == i else 0 for j in range(ring.nvars))] = -c * inv
-    return Polynomial._raw(ring, repl_terms)
+    others = [-c * inv for c in coeffs.values()]
+    return _linear_form(ring, (pivot, *coeffs), (inv, *others))
 
 
-def _regular_via_pivot(pair: IdealPair, ell: Polynomial) -> bool:
-    """Regularity of l on A/B in coordinates where l becomes its pivot variable.
+def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
+    """Exact test that the linear form l is a nonzerodivisor on A/B:
+    (B : l) ∩ A ⊆ B, for homogeneous B.
 
-    Needs homogeneous B and a linear l; the pivot v is the largest-index
-    variable of l, which the coordinate change puts in l's place.  With v
-    last in grevlex, l is regular on a cyclic module iff no minimal
-    generator of the transformed initial ideal involves v (Bayer-Stillman);
-    on a general pair the colon by v is read off the same kind of basis and
-    intersected with the transformed A.  When v is the last ring variable,
-    both tests ask for the plain grevlex basis
-    (:meth:`MonomialOrder.variable_last`), the order and memo key the rest
-    of the engine uses.
+    A linear change of coordinates sends l to its pivot v, the
+    largest-index variable of l.  With v last in grevlex, l is regular on a
+    cyclic module iff no minimal generator of the transformed initial ideal
+    involves v (Bayer-Stillman); on a general pair the colon by v is read
+    off the same kind of basis and intersected with the transformed A.
+    When v is the last ring variable, both tests ask for the plain grevlex
+    basis (:meth:`MonomialOrder.variable_last`), the order and memo key the
+    rest of the engine uses.  Raises ``ValueError`` unless l is linear and
+    B homogeneous.
     """
+    if not ell:
+        return False
+    if any(sum(e) != 1 for e in ell.terms) or not pair.b.is_homogeneous():
+        raise ValueError("the regularity test needs a linear form and a homogeneous B")
     ring = pair.ring
     pivot = max(exps.index(1) for exps in ell.terms)
     repl = _pivot_substitution(ring, ell, pivot)
@@ -273,24 +271,12 @@ def _regular_via_pivot(pair: IdealPair, ell: Polynomial) -> bool:
     return b_t.contains_ideal(intersect(quotient, a_t))
 
 
-def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
-    """Exact test that l is a nonzerodivisor on A/B: (B : l) ∩ A ⊆ B."""
-    if not ell:
-        return False
-    if all(sum(e) == 1 for e in ell.terms) and pair.b.is_homogeneous():
-        return _regular_via_pivot(pair, ell)
-    quot = ideal_quotient(pair.b, ell)
-    if pair.is_cyclic():
-        return pair.b.contains_ideal(quot)
-    return pair.b.contains_ideal(intersect(quot, pair.a))
-
-
-def _draw_form(ring, indices, rng, span, prefer_last_nonzero):
+def _draw_form(ring, indices, rng, span):
+    """A nonzero form, its last coefficient drawn nonzero (its pivot over QQ)."""
     while True:
         coeffs = [rng.randint(-span, span) for _ in indices]
-        if prefer_last_nonzero:
-            while coeffs[-1] == 0:
-                coeffs[-1] = rng.randint(-span, span)
+        while coeffs[-1] == 0:
+            coeffs[-1] = rng.randint(-span, span)
         ell = _linear_form(ring, indices, coeffs)
         if ell:
             return ell
@@ -305,8 +291,10 @@ def find_regular_linear_form(
     integer range widens on every retry.  This is the first step of
     :func:`grade_wrt`'s search, so it raises :class:`NoRegularFormError`
     when H^0 of the pair is nonzero (no form is regular) or when the retry
-    budget runs out (the field is too small).
+    budget runs out (the field is too small), and, like :func:`grade_wrt`,
+    :class:`NotBihomogeneousError` unless A/B is bigraded (graded for m).
     """
+    _require_graded(pair, block)
     ell = _search_regular_form(pair, block, random.Random(seed))
     if ell is None:
         raise NoRegularFormError(
@@ -321,24 +309,19 @@ def _search_regular_form(pair, block, rng):
     An exact test decides H^0 once ``_EXACT_H0_AFTER + 1`` candidates have
     failed, keeping the grade value itself seed independent.  A regular
     form drawn before that skips the test: it proves H^0 = 0 on its own.
+    The callers check that the pair is graded, as :func:`is_regular_form`
+    needs.
     """
     ring = pair.ring
     indices = block.variable_indices(ring)
     if not indices:
         return None  # zero block: H^0 is the whole (nonzero) module
-    h0_known_zero = False
-    prefer_last = pair.b.is_homogeneous()
     for attempt in range(RETRY_BUDGET):
-        span = 1 + attempt
-        ell = _draw_form(ring, indices, rng, span, prefer_last)
+        ell = _draw_form(ring, indices, rng, 1 + attempt)
         if is_regular_form(pair, ell):
             return ell
-        if not h0_known_zero and attempt >= _EXACT_H0_AFTER:
-            if not h0_is_zero(pair, block):
-                return None
-            h0_known_zero = True
-    if not h0_known_zero and not h0_is_zero(pair, block):
-        return None
+        if attempt == _EXACT_H0_AFTER and not h0_is_zero(pair, block):
+            return None
     raise NoRegularFormError(
         "regular linear forms exist but none was found within the retry "
         "budget; rerun over the rationals or a larger prime field"

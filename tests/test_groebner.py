@@ -7,6 +7,7 @@ from helpers import (
     elimination_saturation,
     ideals_equal,
     multipass_autoreduce,
+    random_bihomogeneous,
     random_monomial_ideal,
 )
 from seqcm import groebner
@@ -162,6 +163,20 @@ class TestIntersect:
         I = Ideal(R22, (R22.parse("x1*y1 + x2*y2"),))
         assert ideals_equal(intersect(I, Ideal.unit(R22)), I)
 
+    def test_unit_check_needs_no_basis_for_homogeneous_generators(self, R22):
+        """Nonconstant homogeneous generators lie in (x1, x2, y1, y2), so
+        is_unit_ideal answers without a basis; any other ideal still asks
+        for one."""
+        I = Ideal(R22, (R22.parse("x1*y1 + x2*y2"), R22.parse("x1^2 - y1*y2")))
+        memo = list(groebner._GB_MEMO)
+        assert not I.is_unit_ideal()
+        assert list(groebner._GB_MEMO) == memo
+        assert I._bases == {}
+        for text in ("x1, x1 - 1", "x1*y1 - 1, x1", "y2^2 - 1, y2"):
+            inhomogeneous = Ideal(R22, [R22.parse(g) for g in text.split(", ")])
+            assert inhomogeneous.is_unit_ideal()
+        assert not Ideal(R22, (R22.parse("x1 - 1"), R22.parse("y1"))).is_unit_ideal()
+
     def test_coprime_principal(self, R22):
         got = intersect(Ideal(R22, (R22.x(1),)), Ideal(R22, (R22.y(1),)))
         assert ideals_equal(got, Ideal(R22, (R22.parse("x1*y1"),)))
@@ -262,6 +277,26 @@ class TestFastPathsAgainstElimination:
         for _ in range(10):
             I = random_monomial_ideal(rng, R22)
             assert ideals_equal(saturation(I, Qblk), elimination_saturation(I, Qblk))
+
+    def test_bihomogeneous_saturation_matches(self, R22):
+        """Non-monomial ideals f*(y1, y2) + (g), whose Q-saturation contains
+        f, and f*(x1, x2) + (g) for P: colon rounds cut short against the
+        elimination route."""
+        rng = random.Random(41)
+        blocks = (
+            (Ideal(R22, (R22.y(1), R22.y(2))), (1, 0)),
+            (Ideal(R22, (R22.x(1), R22.x(2))), (0, 1)),
+        )
+        grew = 0
+        for _ in range(4):
+            for blk, f_bidegree in blocks:
+                f = random_bihomogeneous(rng, R22, *f_bidegree, max_terms=2)
+                g = random_bihomogeneous(rng, R22, 1, 1, max_terms=3)
+                I = Ideal(R22, [f * v for v in blk.gens] + [g])
+                got = saturation(I, blk)
+                assert ideals_equal(got, elimination_saturation(I, blk))
+                grew += not I.contains_ideal(got)
+        assert grew >= 6
 
 
 class TestCaching:

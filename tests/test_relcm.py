@@ -73,18 +73,30 @@ class TestH0:
         assert h0_is_zero(IdealPair.cyclic(Ideal(R22, (R22.x(1),))), Q)
 
     def test_matches_full_saturation_definition(self, R22):
-        """The one-round torsion test must agree with sat(B) ∩ A ⊆ B."""
-        from helpers import elimination_saturation
+        """The one-round torsion test must agree with sat(B) ∩ A ⊆ B, on
+        cyclic pairs and on the non-cyclic pairs of the grade recursion."""
+        from helpers import elimination_intersect, elimination_saturation
 
         rng = random.Random(66)
         blk = Ideal(R22, (R22.y(1), R22.y(2)))
+        pairs = []
         for _ in range(20):
             I = random_monomial_ideal(rng, R22)
-            if I.is_unit_ideal():
-                continue
-            pair = IdealPair.cyclic(I)
-            by_definition = I.contains_ideal(elimination_saturation(I, blk))
+            if not I.is_unit_ideal():
+                pairs.append(IdealPair.cyclic(I))
+        for _ in range(20):
+            b = random_monomial_ideal(rng, R22, max_gens=3)
+            a = b + random_monomial_ideal(rng, R22, max_gens=2)
+            pair = IdealPair(a, b, _trusted=True)
+            if not a.is_unit_ideal() and not pair.is_zero_module():
+                pairs.append(pair)
+        outcomes = set()
+        for pair in pairs:
+            torsion = elimination_intersect(elimination_saturation(pair.b, blk), pair.a)
+            by_definition = pair.b.contains_ideal(torsion)
             assert h0_is_zero(pair, Q) == by_definition
+            outcomes.add((pair.is_cyclic(), by_definition))
+        assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
 
 
 class TestRegularForms:
@@ -146,6 +158,17 @@ class TestRegularForms:
                 assert is_regular_form(pair, ell) == slow_is_regular(pair, ell)
                 compared += 1
         assert compared >= 50
+
+    def test_rejects_nonlinear_form_and_inhomogeneous_b(self, R22):
+        """The test is the pivot coordinate change, which needs a linear l
+        and a homogeneous B."""
+        pair = IdealPair.cyclic(Ideal(R22, (R22.parse("x1*y1"),)))
+        for ell in (R22.parse("y1^2"), R22.parse("y1 - 1")):
+            with pytest.raises(ValueError, match="linear"):
+                is_regular_form(pair, ell)
+        inhomogeneous = IdealPair.cyclic(Ideal(R22, (R22.parse("y1 - 1"),)))
+        with pytest.raises(ValueError, match="homogeneous"):
+            is_regular_form(inhomogeneous, R22.y(2))
 
     def test_pair_regularity_matches_oracle(self, R22):
         # Non-cyclic pairs exercise the (B : l) ∩ A ⊆ B route directly.
@@ -296,7 +319,8 @@ class TestGradeStopsAtCd:
         """cd(Q, S/I) = dim S/(I + P) needs a bigraded module.  For
         I = (x1 - y1) it would read 0, while y1 is regular on S/I ≅ K[t];
         on S/(y1 - 1), y1 is a unit and the grade search cannot end.  cd,
-        grade and every decision built on them reject both."""
+        grade, the regular-form search and every decision built on them
+        reject both."""
         ring = BigradedRing(1, 1)
         for text in ("x1 - y1", "y1 - 1"):
             I = Ideal(ring, (ring.parse(text),))
@@ -307,6 +331,7 @@ class TestGradeStopsAtCd:
                     lambda: cd_subquotient(pair, block),
                     lambda: grade_wrt(pair, block),
                     lambda: grade_wrt(pair, block, _stop=0),
+                    lambda: find_regular_linear_form(pair, block),
                     lambda: is_relative_cm(pair, block),
                     lambda: is_seq_cm(I, block),
                 ):
