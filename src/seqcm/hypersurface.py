@@ -15,6 +15,12 @@ for Q and h2 for P.  With respect to Q, say, S/(h1) has cd n and
 cd at the bottom.  The chain is still verified through the cd/grade
 machinery (using the cyclic isomorphism (middle)/(f) ≅ S/(cofactor)); if it
 fails, something is inconsistent and we raise.
+
+Every module checked here, S/fS and the two levels, is principal and cyclic,
+so :func:`seqcm.relcm.is_relative_cm` reads its cd and grade off the
+bidegree in closed form and stops the regular-sequence search at that grade:
+no dimension and no terminal H^0 proof is computed.  The rank test still
+decides the classification.
 """
 
 from __future__ import annotations
@@ -201,7 +207,10 @@ def hypersurface_stats(f: Polynomial, seed: int = 0) -> HypersurfaceReport:
 
     For a nonzero bihomogeneous f of bidegree (a, b): a = 0 gives
     (cd_P, cd_Q) = (m, n-1) with both blocks relative CM, b = 0 the mirror,
-    and a, b > 0 gives grade exactly one below cd on both sides.
+    and a, b > 0 gives grade exactly one below cd on both sides.  These are
+    the closed forms :func:`is_relative_cm` uses for a principal S/fS, so
+    the reports cost no dimension and no terminal H^0 proof; only the
+    regular sequence is searched for.
     """
     a, b = f.bidegree()
     pair = IdealPair.cyclic(_proper_principal(f))

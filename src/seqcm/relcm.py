@@ -23,6 +23,17 @@ H^0 != 0.  cd is read off dimension only for such modules, so
 :func:`cd_wrt`, :func:`grade_wrt` and :func:`is_relative_cm` reject any
 other input.
 
+For a principal cyclic module S/fS and the block P or Q, both invariants
+are known in closed form, and :func:`is_relative_cm` uses them instead:
+with f of bidegree (a, b), a + b > 0, and n variables in Q,
+cd(Q, S/fS) = n - [a = 0] (f lies in P unless a = 0, so
+dim S/(f, P) is n or n - 1) and grade(Q, S/fS) = n - [b > 0].  For the
+grade, f is S-regular, so grade >= n - 1, and 0 -> S(-a,-b) -> S -> S/fS -> 0
+makes H^{n-1}_Q(S/fS) the kernel of f on H^n_Q(S)(-a,-b), which is nonzero
+exactly when b > 0 (Bruns-Herzog, Cohen-Macaulay Rings, 3.5 with 1.6.17).
+P is the mirror, with m for n and a, b exchanged.  The search then stops at
+the known grade, so it needs no dimension and no terminal H^0 proof.
+
 H^0 = 0 and the regularity of a form l are one colon condition,
 (B : J) ∩ A ⊆ B for J the block ideal or (l).  H^0 takes one colon round of
 :mod:`seqcm.groebner` by the block generators.  A linear l over homogeneous
@@ -172,6 +183,24 @@ def cd_wrt(I: Ideal, block: VariableBlock) -> int:
     if I.is_unit_ideal():
         raise ZeroModuleError("cd of the zero module is undefined")
     return krull_dim(I + block.complement_ideal(I.ring))
+
+
+def _principal_cd_grade(pair: IdealPair, block: VariableBlock):
+    """(cd, grade) of S/fS for the block P or Q by the closed forms of the
+    module docstring, or None unless the pair is cyclic and B has the one
+    nonconstant generator f.  The caller has checked that f is
+    bihomogeneous.  A ring with aux slots gets None, since the formulas do
+    not count them."""
+    if block is VariableBlock.M or len(pair.b.gens) != 1 or pair.ring.aux:
+        return None
+    f = pair.b.gens[0]
+    if f.is_constant() or not pair.is_cyclic():
+        return None
+    a, b = f.bidegree()
+    if block is VariableBlock.P:
+        a, b = b, a
+    n = len(block.variable_indices(pair.ring))
+    return n - (a == 0), n - (b > 0)
 
 
 def cd_subquotient(
@@ -380,14 +409,23 @@ def is_relative_cm(
     cd comes first and bounds the grade search: grade <= cd holds for every
     nonzero graded module, so once the regular sequence has cd forms the
     verdict is known and the terminal search (failed candidates plus an
-    exact H^0 proof) is skipped.  The grade and regular sequence equal those
-    of an unstopped :func:`grade_wrt` with the same seed.
+    exact H^0 proof) is skipped.  For a principal S/fS and the block P or Q,
+    cd and grade are read off the bidegree of f (see the module docstring):
+    no dimension is computed, and the search stops at the known grade, so
+    it skips the terminal H^0 proof even when grade < cd.  Either way the
+    grade and regular sequence equal those of an unstopped
+    :func:`grade_wrt` with the same seed.
 
     Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
     the m block): cd's dimension formula and grade <= cd hold only then.
     """
-    cd = cd_subquotient(pair, block, quotient_unmixed=quotient_unmixed)
-    witness = grade_wrt(pair, block, seed, _stop=cd)
+    _require_graded(pair, block)
+    closed = _principal_cd_grade(pair, block)
+    if closed is None:
+        cd = stop = cd_subquotient(pair, block, quotient_unmixed=quotient_unmixed)
+    else:
+        cd, stop = closed
+    witness = grade_wrt(pair, block, seed, _stop=stop)
     return CdGradeReport(
         cd=cd,
         grade=witness.grade,

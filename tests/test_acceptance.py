@@ -298,7 +298,11 @@ def test_criterion_2_two_disjoint_planes():
 
 
 def test_criterion_3_hypersurface_case_table():
-    """(grade, cd) for P and Q follow the bidegree case split on 100 random f."""
+    """(grade, cd) for P and Q follow the bidegree case split on 100 random f.
+
+    hypersurface_stats reads these off the bidegree, so the table is also
+    checked against the dimension route (cd_wrt) and the unstopped grade
+    search (grade_wrt), which do not."""
 
     def check(seed):
         rows = []
@@ -315,6 +319,12 @@ def test_criterion_3_hypersurface_case_table():
             rep_p, rep_q = stats.report_p, stats.report_q
             got = (rep_p.grade, rep_p.cd, rep_q.grade, rep_q.cd)
             assert got == expected, (str(f), got, expected)
+            I = Ideal(ring, (f,))
+            pair = IdealPair.cyclic(I)
+            reference = ()
+            for block in (P, Q):
+                reference += (grade_wrt(pair, block, seed).grade, cd_wrt(I, block))
+            assert reference == expected, (str(f), reference, expected)
             rows.append((m, n, a, b) + got)
         assert len(rows) >= 100
         return tuple(rows)

@@ -16,9 +16,25 @@ from seqcm.hypersurface import (
     rank_one_split,
 )
 from seqcm.poly import BigradedRing
-from seqcm.relcm import IdealPair, VariableBlock, is_relative_cm
+from seqcm.relcm import IdealPair, VariableBlock, cd_wrt, grade_wrt, is_relative_cm
 
 P, Q = VariableBlock.P, VariableBlock.Q
+
+
+def stats_invariants(f, seed=0):
+    """(grade_P, cd_P, grade_Q, cd_Q) of hypersurface_stats, asserted equal
+    to the dimension route and the unstopped grade search, which do not
+    use the closed forms."""
+    stats = hypersurface_stats(f, seed)
+    I = Ideal(f.ring, (f,))
+    pair = IdealPair.cyclic(I)
+    got = []
+    for block in (P, Q):
+        report = stats.report(block)
+        assert report.cd == cd_wrt(I, block), (str(f), block)
+        assert report.grade == grade_wrt(pair, block, seed).grade, (str(f), block)
+        got += [report.grade, report.cd]
+    return tuple(got)
 
 
 def fraction_gauss_rank(entries):
@@ -130,21 +146,13 @@ class TestRankOneSplit:
 
 class TestStats:
     def test_quadric(self, segre_quadric):
-        stats = hypersurface_stats(segre_quadric)
-        assert (stats.report_q.grade, stats.report_q.cd) == (1, 2)
-        assert (stats.report_p.grade, stats.report_p.cd) == (1, 2)
+        assert stats_invariants(segre_quadric) == (1, 2, 1, 2)
 
     def test_pure_y_hypersurface(self, R22):
-        stats = hypersurface_stats(R22.parse("y1^2"))
-        assert (stats.report_p.cd, stats.report_q.cd) == (2, 1)
-        assert stats.report_p.grade == stats.report_p.cd
-        assert stats.report_q.grade == stats.report_q.cd
+        assert stats_invariants(R22.parse("y1^2")) == (2, 2, 1, 1)
 
     def test_pure_x_hypersurface(self, R22):
-        stats = hypersurface_stats(R22.x(1))
-        assert (stats.report_p.cd, stats.report_q.cd) == (1, 2)
-        assert stats.report_p.grade == stats.report_p.cd
-        assert stats.report_q.grade == stats.report_q.cd
+        assert stats_invariants(R22.x(1)) == (1, 1, 2, 2)
 
     def test_case_table_randomized(self):
         rng = random.Random(94)
@@ -155,16 +163,13 @@ class TestStats:
             if a == 0 and b == 0:
                 continue
             f = random_bihomogeneous(rng, ring, a, b)
-            stats = hypersurface_stats(f)
+            got = stats_invariants(f)
             if a == 0:
-                assert (stats.report_p.grade, stats.report_p.cd) == (m, m)
-                assert (stats.report_q.grade, stats.report_q.cd) == (n - 1, n - 1)
+                assert got == (m, m, n - 1, n - 1)
             elif b == 0:
-                assert (stats.report_p.grade, stats.report_p.cd) == (m - 1, m - 1)
-                assert (stats.report_q.grade, stats.report_q.cd) == (n, n)
+                assert got == (m - 1, m - 1, n, n)
             else:
-                assert (stats.report_p.grade, stats.report_p.cd) == (m - 1, m)
-                assert (stats.report_q.grade, stats.report_q.cd) == (n - 1, n)
+                assert got == (m - 1, m, n - 1, n)
 
     def test_carries_split_and_block_reports(self, R22, segre_quadric):
         for f in (segre_quadric, R22.parse("x1*y1 + x2*y1"), R22.parse("y1^2 + y1*y2")):

@@ -1,15 +1,23 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 
-from helpers import random_monomial_ideal, slow_is_regular
+from helpers import (
+    monomials_of_degree,
+    random_bihomogeneous,
+    random_monomial_ideal,
+    random_split_product,
+    slow_is_regular,
+)
 from seqcm.errors import (
     NoRegularFormError,
     NotBihomogeneousError,
     UndecidableByRulesError,
     ZeroModuleError,
 )
+from seqcm.fields import QQ, PrimeField
 from seqcm.filtration import is_seq_cm
 from seqcm.groebner import Ideal, krull_dim
 from seqcm.poly import BigradedRing, Polynomial
@@ -249,8 +257,32 @@ class TestGrade:
         assert grade_wrt(IdealPair.cyclic(Ideal.zero(R22)), M).grade == 4
 
 
+def dense_bihomogeneous(rng, ring, a, b) -> Polynomial:
+    """Every monomial of bidegree (a, b), each with a nonzero coefficient."""
+    terms = {
+        e: Fraction(rng.randint(1, 9))
+        for e in monomials_of_degree(ring, a + b)
+        if sum(e[i] for i in ring.x_range) == a
+    }
+    return Polynomial(ring, terms)
+
+
+def principal_forms(rng, ring, a, b) -> tuple:
+    """A split product, a dense, a sparse and a monomial f of bidegree (a, b)."""
+    return (
+        random_split_product(rng, ring, a, b)[2],
+        dense_bihomogeneous(rng, ring, a, b),
+        random_bihomogeneous(rng, ring, a, b, max_terms=2),
+        random_bihomogeneous(rng, ring, a, b, max_terms=1),
+    )
+
+
 class TestGradeStopsAtCd:
-    """is_relative_cm stops the grade search at cd; grade_wrt does not."""
+    """is_relative_cm stops the grade search at cd; grade_wrt does not.  On a
+    principal S/fS and the block P or Q it takes cd and the stop from the
+    closed forms cd(Q) = n - [a = 0] and grade(Q) = n - [b > 0] for f of
+    bidegree (a, b) (P mirrored), so it needs neither a dimension nor a
+    terminal H^0 proof; cd_wrt and the unstopped grade_wrt stay the reference."""
 
     def test_matches_full_search_on_random_suites(self, R22):
         ring = BigradedRing(2, 2)
@@ -314,6 +346,70 @@ class TestGradeStopsAtCd:
                 calls.clear()
                 assert grade_wrt(pair, block, seed).grade == cd
                 assert len(calls) == stopped_calls + 1
+
+    def test_closed_form_matches_full_search_on_principal_suites(self):
+        """Split, dense, sparse and monomial f of each bidegree with a, b <= 2
+        in 2+2, 2+3, 3+2 and 0+2 variables, over QQ and GF(32003): the
+        closed-form cd equals cd_wrt, and the grade and regular sequence
+        equal those of the unstopped grade_wrt, for P and Q and two seeds.
+        The formulas do not count aux slots, so t1*y1 in a ring with one
+        keeps the dimension route and still agrees."""
+        rng = random.Random(1010)
+        forms = []
+        for field in (QQ, PrimeField(32003)):
+            for m, n in ((2, 2), (2, 3), (3, 2), (0, 2)):
+                ring = BigradedRing(m, n, field)
+                for a, b in itertools.product(range(3 if m else 1), range(3)):
+                    if a + b:
+                        forms += principal_forms(rng, ring, a, b)
+        assert len(forms) == 2 * (3 * 8 + 2) * 4
+        aux_ring = BigradedRing(1, 1, aux=1)
+        forms.append(aux_ring.gen(0) * aux_ring.y(1))
+        for f in forms:
+            I = Ideal(f.ring, (f,))
+            pair = IdealPair.cyclic(I)
+            for block, seed in itertools.product((P, Q), (0, 1)):
+                report = is_relative_cm(pair, block, seed)
+                full = grade_wrt(pair, block, seed)
+                got = (report.cd, report.grade, report.regular_sequence)
+                want = (cd_wrt(I, block), full.grade, full.regular_sequence)
+                assert got == want, (str(f), block, seed)
+
+    def test_principal_module_needs_no_h0_decision_or_dimension(
+        self, monkeypatch, R22, segre_quadric
+    ):
+        """On the Segre quadric (grade 1 < cd 2 for P and Q) and on the
+        split x1*y1^2 of bidegree (1, 2) (likewise), is_relative_cm proves no H^0 and computes no
+        Krull dimension: every drawn form has a nonzero last coefficient,
+        so it is regular on S/fS at once, and the search stops at the
+        closed-form grade 1.  The unstopped grade_wrt on the quadric still
+        pays its one terminal H^0 proof."""
+        import seqcm.relcm as relcm
+
+        calls = []
+
+        def counting(name, fn):
+            def wrapped(*args):
+                calls.append(name)
+                return fn(*args)
+
+            return wrapped
+
+        monkeypatch.setattr(relcm, "h0_is_zero", counting("h0", h0_is_zero))
+        monkeypatch.setattr(relcm, "krull_dim", counting("dim", krull_dim))
+        for f in (segre_quadric, R22.parse("x1*y1^2")):
+            pair = IdealPair.cyclic(Ideal(R22, (f,)))
+            for block in (P, Q):
+                for seed in (0, 1, 2):
+                    calls.clear()
+                    report = is_relative_cm(pair, block, seed)
+                    assert (report.grade, report.cd) == (1, 2)
+                    assert calls == []
+        pair = IdealPair.cyclic(Ideal(R22, (segre_quadric,)))
+        for block in (P, Q):
+            calls.clear()
+            assert grade_wrt(pair, block).grade == 1
+            assert calls == ["h0"]
 
     def test_non_bigraded_input_is_rejected(self):
         """cd(Q, S/I) = dim S/(I + P) needs a bigraded module.  For
