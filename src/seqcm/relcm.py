@@ -34,6 +34,21 @@ exactly when b > 0 (Bruns-Herzog, Cohen-Macaulay Rings, 3.5 with 1.6.17).
 P is the mirror, with m for n and a, b exchanged.  The search then stops at
 the known grade, so it needs no dimension and no terminal H^0 proof.
 
+For monomial A and B (a monomial S/I, and every level pair of the monomial
+route) the grade is exact too: grade(V, A/B) = |V| - max{i : H_i(V; A/B)
+!= 0} for the block variables V (Bruns-Herzog 1.6.17), and in each
+multidegree the Koszul complex is a relative simplicial chain complex
+(Miller-Sturmfels, Combinatorial Commutative Algebra, ch. 1).  Its ranks
+are taken over the ring's field.  Finitely many degrees suffice: the
+exponents outside V range over 0 and the generators' values, and the
+exponents in V over the lcms of the generators of A or of B that such a
+strand keeps.  :func:`is_relative_cm` stops the search at that grade.
+
+On a non-cyclic pair, :func:`grade_wrt` tests a candidate on the cyclic
+S/(B + L) first, for L the forms accepted so far, and runs the exact pair
+test only when that fails; the invariant A ∩ (B + L) = B + L·A that makes
+this sound is checked before each further step.
+
 H^0 = 0 and the regularity of a form l are one colon condition,
 (B : J) ∩ A ⊆ B for J the block ideal or (l).  H^0 takes one colon round of
 :mod:`seqcm.groebner` by the block generators.  A linear l over homogeneous
@@ -47,6 +62,7 @@ colon as the reference for both tests.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from enum import Enum
@@ -58,9 +74,16 @@ from .errors import (
     UndecidableByRulesError,
     ZeroModuleError,
 )
-from .groebner import Ideal, _colon_ideal, colon_by_variable, intersect, krull_dim
+from .groebner import (
+    Ideal,
+    _colon_ideal,
+    _minimal_monomials,
+    colon_by_variable,
+    intersect,
+    krull_dim,
+)
 from .orders import MonomialOrder
-from .poly import BigradedRing, Polynomial
+from .poly import BigradedRing, Polynomial, mono_divides, mono_lcm
 
 RETRY_BUDGET = 32
 _EXACT_H0_AFTER = 1  # decide H^0 exactly once two candidates have failed
@@ -231,6 +254,132 @@ def cd_subquotient(
     return cd_b
 
 
+# ---- exact grade of monomial modules ----------------------------------------------
+
+
+def _monomial_grade(pair: IdealPair, block: VariableBlock):
+    """grade(block, A/B) for monomial A and B by Koszul homology, or None
+    when A or B is not monomial or the ring has aux slots.
+
+    grade = |V| - max{i : H_i(V; A/B) != 0} for the block variables V
+    (Bruns-Herzog 1.6.17).  In degree beta, the Koszul complex of A/B is the
+    relative chain complex of the faces F of V ∩ supp(beta) with
+    x^(beta - e_F) in A modulo those with x^(beta - e_F) in B, a face of
+    size i in degree i (Miller-Sturmfels, ch. 1); ranks are taken over the
+    ring's field, since torsion makes the homology depend on it.  Fixing
+    the exponents of the other variables W gives a strand, a module over
+    K[V] whose Tor lives only at lcms of the strand's generators of A or B
+    (0 -> A/B -> S/B -> S/A -> 0 carries Taylor's bound over to A/B).  A
+    strand changes only where a W-exponent reaches a generator's, so the
+    W-exponents range over 0 and the generators' values.  The caller
+    knows that A/B is nonzero, so H_0 = (A/B)/V(A/B) is nonzero too.
+    """
+    ring = pair.ring
+    if ring.aux or not (pair.a.is_monomial_ideal() and pair.b.is_monomial_ideal()):
+        return None
+    vs = block.variable_indices(ring)
+    ws = [i for i in range(ring.nvars) if i not in vs]
+    gens = (pair.a.minimal_monomial_generators(), pair.b.minimal_monomial_generators())
+    top = 0
+    zero = (0,) * len(vs)
+    seen = set()
+    values = [sorted({0, *(g[w] for part in gens for g in part)}) for w in ws]
+    for strand in itertools.product(*values):
+        a_v, b_v = (
+            _minimal_monomials(
+                tuple(g[v] for v in vs)
+                for g in part
+                if all(g[w] <= e for w, e in zip(ws, strand))
+            )
+            for part in gens
+        )
+        if not a_v or (a_v, b_v) in seen:
+            continue
+        seen.add((a_v, b_v))
+        for beta in _lcm_lattice(a_v, zero) | _lcm_lattice(b_v, zero):
+            top = _top_homology(beta, a_v, b_v, top, ring.field)
+            if top == len(vs):
+                return 0
+    return len(vs) - top
+
+
+def _lcm_lattice(monos, zero) -> set:
+    """The lcms of all subsets of the monomials, the empty one (zero) included."""
+    lattice = {zero}
+    for g in monos:
+        lattice |= {mono_lcm(u, g) for u in lattice}
+    return lattice
+
+
+def _top_homology(beta, a_gens, b_gens, floor: int, field) -> int:
+    """The largest i > floor with H_i(V; A/B) nonzero in degree beta over
+    the field, else floor, for the strand generators of A and B."""
+    support = [j for j, e in enumerate(beta) if e]
+    if len(support) <= floor:
+        return floor
+
+    def faces(gens):  # facets {j : g_j < beta_j} for the g dividing beta
+        out = set()
+        for g in gens:
+            if mono_divides(g, beta):
+                facet = face = sum(1 << j for j in support if g[j] < beta[j])
+                while face:  # every nonempty submask of the facet
+                    out.add(face)
+                    face = (face - 1) & facet
+                out.add(0)
+        return out
+
+    chains = {}
+    for face in faces(a_gens) - faces(b_gens):
+        size = face.bit_count()
+        if size >= floor:
+            level = chains.setdefault(size, {})
+            level[face] = len(level)
+    sign = (field.one, -field.one)
+    rank_above = 0
+    for i in range(max(chains, default=floor), floor, -1):
+        cells, below = chains.get(i, {}), chains.get(i - 1, {})
+        boundaries = (
+            {below[f]: sign[k % 2] for k, f in enumerate(_faces_below(c)) if f in below}
+            for c in cells
+        )
+        rank = _rank(boundaries, field)
+        if len(cells) > rank + rank_above:
+            return i
+        rank_above = rank
+    return floor
+
+
+def _faces_below(face: int):
+    """face minus each of its elements, in increasing order of the element."""
+    rest = face
+    while rest:
+        low = rest & -rest
+        yield face ^ low
+        rest ^= low
+
+
+def _rank(rows, field) -> int:
+    """Rank of the rows, each a map column -> nonzero field element."""
+    pivots = {}  # leading column -> row scaled to a leading one
+    for row in rows:
+        while row:
+            col = min(row)
+            pivot = pivots.get(col)
+            if pivot is None:
+                inv = field.one / row[col]
+                pivots[col] = {k: v * inv for k, v in row.items()}
+                break
+            c = row[col]
+            for k, v in pivot.items():
+                x = row.get(k, field.zero) - c * v
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
+    return len(pivots)
+
+
 # ---- H^0 and regular elements -----------------------------------------------------
 
 
@@ -332,14 +481,16 @@ def find_regular_linear_form(
     return ell
 
 
-def _search_regular_form(pair, block, rng):
+def _search_regular_form(pair, block, rng, shortcut=None):
     """Regular form for one grade step, or None once H^0 != 0 is proven.
 
     An exact test decides H^0 once ``_EXACT_H0_AFTER + 1`` candidates have
     failed, keeping the grade value itself seed independent.  A regular
     form drawn before that skips the test: it proves H^0 = 0 on its own.
-    The callers check that the pair is graded, as :func:`is_regular_form`
-    needs.
+    ``shortcut`` is a cyclic pair whose regular forms are regular on
+    ``pair`` (see :func:`grade_wrt`); a candidate is tested on it first,
+    and on ``pair`` only when it fails there.  The callers check that the
+    pair is graded, as :func:`is_regular_form` needs.
     """
     ring = pair.ring
     indices = block.variable_indices(ring)
@@ -347,6 +498,8 @@ def _search_regular_form(pair, block, rng):
         return None  # zero block: H^0 is the whole (nonzero) module
     for attempt in range(RETRY_BUDGET):
         ell = _draw_form(ring, indices, rng, 1 + attempt)
+        if shortcut is not None and is_regular_form(shortcut, ell):
+            return ell
         if is_regular_form(pair, ell):
             return ell
         if attempt == _EXACT_H0_AFTER and not h0_is_zero(pair, block):
@@ -368,11 +521,24 @@ def grade_wrt(
     size.  The returned value is seed independent (H^0 is decided exactly
     whenever a step ends); only the witness depends on the seed.
 
-    ``_stop`` (for callers that know cd, such as :func:`is_relative_cm`)
-    ends the search once the sequence has that many forms.  Since
-    grade <= cd, a search stopped at cd skips only the terminal step, which
-    could do nothing but prove H^0 != 0; the forms drawn before it come from
-    the same stream, so the witness is unchanged.
+    ``_stop`` (for callers that know cd or the grade, such as
+    :func:`is_relative_cm`) ends the search once the sequence has that many
+    forms.  Since grade <= cd, a search stopped at cd skips only the
+    terminal step, which could do nothing but prove H^0 != 0; the forms
+    drawn before it come from the same stream, so the witness is unchanged.
+
+    On a non-cyclic pair a candidate l is first tested on the cyclic module
+    S/(B + L), for L the ideal of the forms accepted so far, and the exact
+    pair test (a colon and an elimination intersect) runs only when l fails
+    there.  That is sound while A ∩ (B + L) = B + L·A, which holds for
+    L = 0: if l is regular on S/(B + L), a is in A and l·a in
+    B + L·A ⊆ B + L, then a lies in A ∩ (B + L) = B + L·A.  An accepted l
+    keeps the invariant when it is regular on S/(A + L): for x = b + y + l·s
+    in A with b in B and y in L, s lies in A + L, say s = a' + y', and
+    x - l·a' lies in A ∩ (B + L).  That test runs before the next step
+    only, and once it fails the search keeps to the exact test.  The cyclic
+    test never accepts a form the exact one rejects, so the forms accepted
+    are the same either way.
 
     Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
     the m block), like :func:`cd_wrt`.
@@ -380,12 +546,22 @@ def grade_wrt(
     _require_graded(pair, block)
     if pair.is_zero_module():
         raise ZeroModuleError("grade of the zero module is undefined")
+    ring = pair.ring
     rng = random.Random(seed)
     current = pair
     sequence = []
-    bound = len(block.variable_indices(pair.ring))
+    bound = len(block.variable_indices(ring))
+    cyclic_first = not pair.is_cyclic()
     while _stop is None or len(sequence) < _stop:
-        ell = _search_regular_form(current, block, rng)
+        if cyclic_first and sequence:  # does the last form keep the invariant?
+            earlier = Ideal(ring, sequence[:-1])
+            cyclic_first = is_regular_form(
+                IdealPair.cyclic(pair.a + earlier), sequence[-1]
+            )
+        shortcut = (
+            IdealPair.cyclic(pair.b + Ideal(ring, sequence)) if cyclic_first else None
+        )
+        ell = _search_regular_form(current, block, rng, shortcut)
         if ell is None:
             break
         sequence.append(ell)
@@ -412,8 +588,10 @@ def is_relative_cm(
     exact H^0 proof) is skipped.  For a principal S/fS and the block P or Q,
     cd and grade are read off the bidegree of f (see the module docstring):
     no dimension is computed, and the search stops at the known grade, so
-    it skips the terminal H^0 proof even when grade < cd.  Either way the
-    grade and regular sequence equal those of an unstopped
+    it skips the terminal H^0 proof even when grade < cd.  For monomial A
+    and B, cd comes from :func:`cd_subquotient` and the search stops at the
+    Koszul grade (:func:`_monomial_grade`), with the same effect.  In every
+    case the grade and regular sequence equal those of an unstopped
     :func:`grade_wrt` with the same seed.
 
     Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
@@ -422,7 +600,10 @@ def is_relative_cm(
     _require_graded(pair, block)
     closed = _principal_cd_grade(pair, block)
     if closed is None:
-        cd = stop = cd_subquotient(pair, block, quotient_unmixed=quotient_unmixed)
+        cd = cd_subquotient(pair, block, quotient_unmixed=quotient_unmixed)
+        stop = _monomial_grade(pair, block)
+        if stop is None:
+            stop = cd
     else:
         cd, stop = closed
     witness = grade_wrt(pair, block, seed, _stop=stop)

@@ -10,6 +10,7 @@ forced by enumerating monomials.
 from __future__ import annotations
 
 import itertools
+import random
 from fractions import Fraction
 
 from seqcm.filtration import (
@@ -30,7 +31,27 @@ from seqcm.groebner import (
     exact_div,
 )
 from seqcm.poly import BigradedRing, Polynomial, mono_degree, mono_divides, mono_support
-from seqcm.relcm import VariableBlock, cd_wrt
+from seqcm.relcm import VariableBlock, _search_regular_form, cd_wrt
+
+
+# ---- reference monomial helpers ---------------------------------------------------
+# The generator-expression forms of ``poly.mono_*``, which use ``map``.
+
+
+def ref_mono_mul(u, v):
+    return tuple(a + b for a, b in zip(u, v))
+
+
+def ref_mono_div(u, v):
+    return tuple(a - b for a, b in zip(u, v))
+
+
+def ref_mono_divides(u, v):
+    return all(a <= b for a, b in zip(u, v))
+
+
+def ref_mono_lcm(u, v):
+    return tuple(max(a, b) for a, b in zip(u, v))
 
 
 # ---- enumeration ------------------------------------------------------------------
@@ -218,6 +239,18 @@ def elimination_saturation(I: Ideal, J: Ideal) -> Ideal:
         if current.contains_ideal(step):
             return current
         current = step
+
+
+def exact_grade_search(pair, block, seed: int = 0) -> tuple:
+    """The regular sequence of an unstopped grade search that tests every
+    candidate on the pair itself: the reference for the cyclic-first test
+    of ``relcm.grade_wrt``."""
+    rng = random.Random(seed)
+    sequence = []
+    while (ell := _search_regular_form(pair, block, rng)) is not None:
+        sequence.append(ell)
+        pair = pair.mod_form(ell)
+    return tuple(sequence)
 
 
 def slow_is_regular(pair, ell) -> bool:

@@ -9,8 +9,17 @@ from seqcm.errors import (
     RingMismatchError,
     ZeroPolynomialError,
 )
+from helpers import ref_mono_div, ref_mono_divides, ref_mono_lcm, ref_mono_mul
 from seqcm.fields import PrimeField
-from seqcm.poly import BiDegree, BigradedRing, Polynomial
+from seqcm.poly import (
+    BiDegree,
+    BigradedRing,
+    Polynomial,
+    mono_div,
+    mono_divides,
+    mono_lcm,
+    mono_mul,
+)
 
 
 def random_poly(rng, ring, max_terms=5, max_degree=3):
@@ -64,6 +73,24 @@ class TestArithmetic:
         p = R22.x(1) + R22.y(1)
         assert p ** 3 == p * p * p
         assert p ** 0 == R22.one()
+
+
+class TestMonomialHelpers:
+    def test_map_forms_match_generator_forms(self):
+        """The map-based mono_* agree with the generator-expression
+        references on random exponent tuples of length 0 to 9, drawn from a
+        small range so that zeros and equal entries are frequent."""
+        rng = random.Random(404)
+        for _ in range(2000):
+            n = rng.randint(0, 9)
+            u = tuple(rng.randint(0, 3) for _ in range(n))
+            v = tuple(rng.choice((e, rng.randint(0, 3))) for e in u)
+            assert mono_mul(u, v) == ref_mono_mul(u, v)
+            assert mono_lcm(u, v) == ref_mono_lcm(u, v)
+            assert mono_divides(u, v) == ref_mono_divides(u, v)
+            assert mono_divides(v, u) == ref_mono_divides(v, u)
+            w = mono_mul(u, v)
+            assert mono_div(w, v) == ref_mono_div(w, v) == u
 
 
 class TestBidegree:

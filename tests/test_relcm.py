@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    exact_grade_search,
     monomials_of_degree,
     random_bihomogeneous,
     random_monomial_ideal,
@@ -18,8 +19,8 @@ from seqcm.errors import (
     ZeroModuleError,
 )
 from seqcm.fields import QQ, PrimeField
-from seqcm.filtration import is_seq_cm
-from seqcm.groebner import Ideal, krull_dim
+from seqcm.filtration import dimension_filtration, is_seq_cm
+from seqcm.groebner import Ideal, intersect, krull_dim
 from seqcm.poly import BigradedRing, Polynomial
 from seqcm.relcm import (
     IdealPair,
@@ -28,6 +29,7 @@ from seqcm.relcm import (
     cd_wrt,
     find_regular_linear_form,
     grade_wrt,
+    _monomial_grade,
     h0_is_zero,
     is_regular_form,
     is_relative_cm,
@@ -440,6 +442,180 @@ class TestGradeStopsAtCd:
         report = is_relative_cm(pair, M)  # graded, so decided: S/I is CM
         assert (report.cd, report.grade, report.relative_cm) == (1, 1, True)
         assert grade_wrt(pair, M).grade == 1
+
+
+def level_pairs(I: Ideal, block: VariableBlock) -> list:
+    """S/I and the non-cyclic level pairs (D + E)/E that the monomial
+    route builds from the dimension filtration of S/I."""
+    df = dimension_filtration(I, block)
+    pairs = [IdealPair.cyclic(I)]
+    if len(df.slices) > 1:
+        for index, piece in enumerate(df.slices):
+            e = piece.unmixed_part
+            pairs.append(IdealPair(df.chain[index + 1] + e, e, _trusted=True))
+    return pairs
+
+
+def random_level_cases(rings, count, seed) -> list:
+    """(pair, block) for S/I and the level pairs of random monomial I, for
+    ``count[k]`` ideals in ``rings[k]`` and the blocks P, Q and m."""
+    rng = random.Random(seed)
+    cases = []
+    for ring, k in zip(rings, count):
+        made = 0
+        while made < k:
+            I = random_monomial_ideal(rng, ring, max_gens=5)
+            if I.is_unit_ideal():
+                continue
+            made += 1
+            for block in (P, Q, M):
+                cases += [(pair, block) for pair in level_pairs(I, block)]
+    return cases
+
+
+def rp2_ideal(field) -> Ideal:
+    """The Stanley-Reisner ideal of the six-vertex real projective plane in
+    K[y1..y6]: the ten triangles that are not facets."""
+    ring = BigradedRing(0, 6, field)
+    facets = {frozenset(map(int, f)) for f in (
+        "123", "134", "145", "156", "126", "235", "346", "245", "356", "246"
+    )}
+    gens = [
+        ring.y(i) * ring.y(j) * ring.y(k)
+        for i, j, k in itertools.combinations(range(1, 7), 3)
+        if frozenset((i, j, k)) not in facets
+    ]
+    return Ideal(ring, gens)
+
+
+class TestMonomialGrade:
+    """The Koszul grade of monomial A/B that is_relative_cm stops at, against
+    the unstopped random search."""
+
+    def test_matches_full_search_on_level_pairs(self):
+        """S/I and every level pair of random monomial ideals in 2+2, 3+3
+        and 4+4, blocks P, Q and m, over QQ and GF(32003): the Koszul grade
+        equals the grade of the unstopped grade_wrt, and is_relative_cm
+        returns that grade and the same regular sequence, at seeds 0 and 1."""
+        compared = 0
+        for field in (QQ, PrimeField(32003)):
+            rings = [BigradedRing(k, k, field) for k in (2, 3, 4)]
+            for pair, block in random_level_cases(rings, (6, 4, 2), 606):
+                grade = _monomial_grade(pair, block)
+                unmixed = not pair.is_cyclic()
+                for seed in (0, 1):
+                    full = grade_wrt(pair, block, seed)
+                    report = is_relative_cm(pair, block, seed, quotient_unmixed=unmixed)
+                    assert grade == full.grade, (pair, block)
+                    assert report.grade == full.grade
+                    assert report.regular_sequence == full.regular_sequence
+                    compared += 1
+        assert compared >= 200
+
+    def test_grade_depends_on_the_characteristic(self):
+        """The Stanley-Reisner ring of RP^2 is Cohen-Macaulay of depth 3
+        exactly when the characteristic is not 2; over GF(2) its depth is 2.
+        The Koszul grade takes ranks over the ring's field, and the random
+        search agrees."""
+        for field, depth in (
+            (QQ, 3), (PrimeField(2), 2), (PrimeField(3), 3), (PrimeField(32003), 3)
+        ):
+            pair = IdealPair.cyclic(rp2_ideal(field))
+            assert _monomial_grade(pair, Q) == depth, field
+            assert grade_wrt(pair, Q).grade == depth, field
+
+    def test_monomial_module_needs_no_terminal_h0(
+        self, monkeypatch, R22, two_planes_ideal
+    ):
+        """Two planes have depth 1 < dim 2, and (x1*y1, x1*y2) has grade 0
+        < cd 2 w.r.t. Q and grade 1 < cd 2 w.r.t. P.  Stopped at the Koszul
+        grade, is_relative_cm proves no H^0 at seeds 0, 1 and 2, where the
+        unstopped grade_wrt pays for the terminal H^0 proof."""
+        import seqcm.relcm as relcm
+
+        calls = []
+
+        def counting(pair, block):
+            calls.append(block)
+            return h0_is_zero(pair, block)
+
+        monkeypatch.setattr(relcm, "h0_is_zero", counting)
+        line_ideal = Ideal(R22, (R22.parse("x1*y1"), R22.parse("x1*y2")))
+        cases = [(two_planes_ideal, M, 1), (line_ideal, Q, 0), (line_ideal, P, 1)]
+        for ideal, block, grade in cases:
+            pair = IdealPair.cyclic(ideal)
+            for seed in (0, 1, 2):
+                calls.clear()
+                report = is_relative_cm(pair, block, seed)
+                assert (report.grade, report.cd) == (grade, 2)
+                assert calls == []
+                assert grade_wrt(pair, block, seed).grade == grade
+                assert calls == [block]
+
+    def test_only_monomial_modules_without_aux_slots(self, R22, segre_quadric):
+        aux_ring = BigradedRing(1, 1, aux=1)
+        for pair in (
+            IdealPair.cyclic(Ideal(R22, (segre_quadric,))),
+            IdealPair.cyclic(Ideal(aux_ring, (aux_ring.gen(0) * aux_ring.y(1),))),
+        ):
+            assert _monomial_grade(pair, Q) is None
+
+
+class TestCyclicFirst:
+    """On a non-cyclic pair, grade_wrt tests a candidate on S/(B + L) first
+    and keeps that shortcut only while each accepted form is regular on
+    S/(A + L), L the ideal of the earlier forms."""
+
+    def test_shortcut_ends_when_the_invariant_breaks(self, R22):
+        """The ideal (x1, x2) has grade 1 w.r.t. P.  Every accepted form l
+        is a zerodivisor on S/(x1, x2), so the second step must use the
+        exact pair test; a shortcut kept on S/(l) would accept a second
+        form and report 2."""
+        pair = IdealPair(Ideal(R22, (R22.x(1), R22.x(2))), Ideal.zero(R22))
+        for seed in (0, 1, 2):
+            assert grade_wrt(pair, P, seed).grade == 1
+
+    def test_same_witness_as_exact_search(self):
+        """Random level pairs in 2+2 and 3+3, blocks P, Q and m, seeds 0
+        and 1: grade_wrt accepts the forms of the exact-only search."""
+        rings = [BigradedRing(k, k) for k in (2, 3)]
+        compared = 0
+        for pair, block in random_level_cases(rings, (10, 6), 707):
+            if pair.is_cyclic():
+                continue
+            for seed in (0, 1):
+                got = grade_wrt(pair, block, seed).regular_sequence
+                assert got == exact_grade_search(pair, block, seed), (pair, block)
+                compared += 1
+        assert compared >= 40
+
+    def test_accepted_level_pair_steps_need_no_intersection(self, monkeypatch):
+        """(x1, y1*y2, y3)/(x1, y3) in 3+3 is a level pair of
+        (x3*y3^2, x1*y1*y2, y3) w.r.t. P, of grade and cd 2.  Every
+        accepted form passes the cyclic test, so only a rejected candidate
+        pays for the exact test's intersection: none at seeds 0 and 2, one
+        at seed 1.  The exact-only search intersects on every step."""
+        import seqcm.relcm as relcm
+
+        calls = []
+
+        def counting(I, J):
+            calls.append(1)
+            return intersect(I, J)
+
+        monkeypatch.setattr(relcm, "intersect", counting)
+        ring = BigradedRing(3, 3)
+        a = Ideal(ring, [ring.parse(t) for t in ("x1", "y1*y2", "y3")])
+        b = Ideal(ring, [ring.parse(t) for t in ("x1", "y3")])
+        pair = IdealPair(a, b)
+        for seed, rejected in ((0, 0), (1, 1), (2, 0)):
+            calls.clear()
+            report = is_relative_cm(pair, P, seed, quotient_unmixed=True)
+            assert (report.cd, report.grade) == (2, 2)
+            assert len(calls) == rejected
+            calls.clear()
+            assert exact_grade_search(pair, P, seed) == report.regular_sequence
+            assert len(calls) >= 2
 
 
 class TestCdSubquotient:
