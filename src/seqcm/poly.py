@@ -230,10 +230,9 @@ class Polynomial:
         return len({self._term_bidegree(e) for e in self.terms}) <= 1
 
     def _term_bidegree(self, exps) -> BiDegree:
-        r = self.ring
-        return BiDegree(
-            sum(exps[i] for i in r.x_range), sum(exps[j] for j in r.y_range)
-        )
+        x0 = self.ring.aux
+        y0 = x0 + self.ring.m
+        return BiDegree(sum(exps[x0:y0]), sum(exps[y0:]))
 
     def bidegree(self) -> BiDegree:
         """The common bidegree of all terms; needs a nonzero bihomogeneous input."""

@@ -45,19 +45,23 @@ exponents in V over the lcms of the generators of A or of B that such a
 strand keeps.  :func:`is_relative_cm` stops the search at that grade.
 
 On a non-cyclic pair, :func:`grade_wrt` tests a candidate on the cyclic
-S/(B + L) first, for L the forms accepted so far, and runs the exact pair
-test only when that fails; the invariant A ∩ (B + L) = B + L·A that makes
-this sound is checked before each further step.
+S/(B + L) first, for L the forms accepted so far; the invariant
+A ∩ (B + L) = B + L·A that makes an acceptance there sound is checked
+before each further step.  A candidate that test rejects is rejected
+outright when its basis yields a zerodivisor witness (see
+:func:`_shortcut_verdict`), and goes to the exact pair test otherwise.
 
 H^0 = 0 and the regularity of a form l are one colon condition,
 (B : J) ∩ A ⊆ B for J the block ideal or (l).  H^0 takes one colon round of
 :mod:`seqcm.groebner` by the block generators.  A linear l over homogeneous
 B is tested after a linear change of coordinates sending l to its pivot,
 the largest-index variable it involves; with the pivot last in grevlex,
-regularity is visible on the initial ideal (Bayer-Stillman).  The P, Q and
-m blocks share this one coordinate path: a drawn form's pivot is its
-block's last variable.  The test suite keeps the elimination route of the
-colon as the reference for both tests.
+regularity is visible on the initial ideal (Bayer-Stillman).  On a cyclic
+module the linear generators of B are solved first: S/B is R/B̄ over the
+polynomial ring R on the variables left, so the test runs on the smaller
+B̄.  The P, Q and m blocks share this one coordinate path: a drawn form's
+pivot is its block's last variable.  The test suite keeps the elimination
+route of the colon as the reference for both tests.
 """
 
 from __future__ import annotations
@@ -81,9 +85,10 @@ from .groebner import (
     colon_by_variable,
     intersect,
     krull_dim,
+    normal_form,
 )
 from .orders import MonomialOrder
-from .poly import BigradedRing, Polynomial, mono_divides, mono_lcm
+from .poly import BigradedRing, Polynomial, mono_div, mono_divides, mono_lcm
 
 RETRY_BUDGET = 32
 _EXACT_H0_AFTER = 1  # decide H^0 exactly once two candidates have failed
@@ -370,14 +375,18 @@ def _rank(rows, field) -> int:
                 inv = field.one / row[col]
                 pivots[col] = {k: v * inv for k, v in row.items()}
                 break
-            c = row[col]
-            for k, v in pivot.items():
-                x = row.get(k, field.zero) - c * v
-                if x:
-                    row[k] = x
-                else:
-                    del row[k]
+            _subtract_row(row, row[col], pivot, field.zero)
     return len(pivots)
+
+
+def _subtract_row(row: dict, c, other: dict, zero) -> None:
+    """row -= c * other, dropping the entries that vanish."""
+    for k, v in other.items():
+        x = row.get(k, zero) - c * v
+        if x:
+            row[k] = x
+        else:
+            del row[k]
 
 
 # ---- H^0 and regular elements -----------------------------------------------------
@@ -419,6 +428,63 @@ def _pivot_substitution(ring: BigradedRing, ell: Polynomial, pivot: int) -> Poly
     return _linear_form(ring, (pivot, *coeffs), (inv, *others))
 
 
+def _solve_linear(ring: BigradedRing, gens) -> tuple:
+    """(subs, rest) for homogeneous generators: the linear ones solved by
+    Gaussian elimination, each for its largest-index variable, as
+    substitutions [(variable, replacement)], and the others.  No replacement
+    involves a solved variable, so the substitutions apply one by one."""
+    field = ring.field
+    rows = {}  # solved variable -> its row {variable: coefficient}, one there
+    rest = []
+    for g in gens:
+        if sum(next(iter(g.terms))) != 1:
+            rest.append(g)
+            continue
+        row = {exps.index(1): c for exps, c in g.terms.items()}
+        for p, solved in rows.items():
+            if p in row:
+                _subtract_row(row, row[p], solved, field.zero)
+        if row:
+            p = max(row)
+            inv = field.one / row[p]
+            row = {k: c * inv for k, c in row.items()}
+            for solved in rows.values():
+                if p in solved:
+                    _subtract_row(solved, solved[p], row, field.zero)
+            rows[p] = row
+    subs = []
+    for p, row in rows.items():
+        del row[p]
+        subs.append((p, _linear_form(ring, list(row), [-c for c in row.values()])))
+    return subs, rest
+
+
+def _substitute(f: Polynomial, subs) -> Polynomial:
+    """f with the substitutions [(variable, replacement)] applied in turn."""
+    for var, repl in subs:
+        if any(exps[var] for exps in f.terms):
+            f = f.substitute_variable(var, repl)
+    return f
+
+
+def _reduced_pivot_ideal(b: Ideal, ell: Polynomial) -> tuple:
+    """(subs, b_t, order) for the cyclic test of l on S/B, B homogeneous.
+
+    subs solves B's linear generators and then sends the image l̄ of l to
+    its pivot v; b_t is the image of B's other generators and order is
+    grevlex with v last.  b_t is None when l̄ = 0, that is when l lies in B.
+    """
+    ring = b.ring
+    subs, rest = _solve_linear(ring, b.gens)
+    ell = _substitute(ell, subs)
+    if not ell:
+        return subs, None, None
+    pivot = max(exps.index(1) for exps in ell.terms)
+    subs.append((pivot, _pivot_substitution(ring, ell, pivot)))
+    b_t = Ideal(ring, [_substitute(g, subs) for g in rest])
+    return subs, b_t, MonomialOrder.variable_last(pivot, ring.nvars)
+
+
 def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
     """Exact test that the linear form l is a nonzerodivisor on A/B:
     (B : l) ∩ A ⊆ B, for homogeneous B.
@@ -428,25 +494,70 @@ def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
     cyclic module iff no minimal generator of the transformed initial ideal
     involves v (Bayer-Stillman); on a general pair the colon by v is read
     off the same kind of basis and intersected with the transformed A.
-    When v is the last ring variable, both tests ask for the plain grevlex
-    basis (:meth:`MonomialOrder.variable_last`), the order and memo key the
-    rest of the engine uses.  Raises ``ValueError`` unless l is linear and
-    B homogeneous.
+    On a cyclic module the linear generators of B are first solved, each
+    for its largest-index variable, and substituted into the other
+    generators and into l; v is then the pivot of the image l̄.  This is
+    exact: S/B is R/B̄ for R the polynomial ring on the variables left, and
+    grevlex on S with v last restricts to grevlex on R with v last.  l̄ = 0
+    means l ∈ B, so l is not regular.  When v is the last ring variable,
+    the tests ask for the plain grevlex basis
+    (:meth:`MonomialOrder.variable_last`), the order and memo key the rest
+    of the engine uses.  Raises ``ValueError`` unless l is linear and B
+    homogeneous.
     """
     if not ell:
         return False
     if any(sum(e) != 1 for e in ell.terms) or not pair.b.is_homogeneous():
         raise ValueError("the regularity test needs a linear form and a homogeneous B")
+    if pair.is_cyclic():
+        subs, b_t, order = _reduced_pivot_ideal(pair.b, ell)
+        if b_t is None:
+            return False  # l lies in B
+        pivot = subs[-1][0]
+        return all(lm[pivot] == 0 for lm in b_t.leading_monomials(order))
     ring = pair.ring
     pivot = max(exps.index(1) for exps in ell.terms)
     repl = _pivot_substitution(ring, ell, pivot)
     b_t = Ideal(ring, [g.substitute_variable(pivot, repl) for g in pair.b.gens])
-    if pair.is_cyclic():
-        order = MonomialOrder.variable_last(pivot, ring.nvars)
-        return all(lm[pivot] == 0 for lm in b_t.leading_monomials(order))
     quotient = colon_by_variable(b_t, pivot)
     a_t = Ideal(ring, [g.substitute_variable(pivot, repl) for g in pair.a.gens])
     return b_t.contains_ideal(intersect(quotient, a_t))
+
+
+def _shortcut_verdict(b_l: Ideal, a: Ideal, ell: Polynomial):
+    """True when l is regular on S/(B + L), for b_l = B + L; False when a
+    zerodivisor witness shows l not regular on A/(B + L·A); None otherwise.
+
+    Both answers come off one basis: G, the pivot-last basis of the cyclic
+    test of l on S/(B + L) (:func:`is_regular_form`).  For each g in G whose
+    lead the pivot v divides, v divides all of g (g is homogeneous and v
+    last), and the cofactor c = g/v satisfies v·c in the transformed
+    B + L.  A product c·ā, ā the transformed generator a of A, outside the
+    transformed B + L pulls back to x = c'·a in A with x not in B + L and
+    l·c' in B + L (the substitution's kernel is spanned by linear
+    generators of B + L), so l·x lies in (B + L)·A ⊆ B + L·A: x is a
+    nonzero element of A/(B + L·A) killed by l.  When l lies in B + L, any
+    generator a of A outside B + L is such an x, with c' = 1.  Neither
+    case needs the invariant of :func:`grade_wrt`.
+    """
+    subs, b_t, order = _reduced_pivot_ideal(b_l, ell)
+    if b_t is None:
+        return None if b_l.contains_ideal(a) else False
+    ring, pivot = b_t.ring, subs[-1][0]
+    keyfn = order.sort_key(ring.nvars)
+    basis = b_t.groebner_basis(order)
+    v = next(iter(ring.gen(pivot).terms))
+    cofactors = [  # g/v for the g in G whose lead v divides
+        Polynomial._raw(ring, {mono_div(e, v): k for e, k in g.terms.items()})
+        for g in basis
+        if g.leading_monomial(keyfn)[pivot]
+    ]
+    if not cofactors:
+        return True
+    a_t = [_substitute(g, subs) for g in a.gens]
+    if any(normal_form(c * x, basis, order) for c in cofactors for x in a_t):
+        return False
+    return None
 
 
 def _draw_form(ring, indices, rng, span):
@@ -487,9 +598,10 @@ def _search_regular_form(pair, block, rng, shortcut=None):
     An exact test decides H^0 once ``_EXACT_H0_AFTER + 1`` candidates have
     failed, keeping the grade value itself seed independent.  A regular
     form drawn before that skips the test: it proves H^0 = 0 on its own.
-    ``shortcut`` is a cyclic pair whose regular forms are regular on
-    ``pair`` (see :func:`grade_wrt`); a candidate is tested on it first,
-    and on ``pair`` only when it fails there.  The callers check that the
+    ``shortcut`` is the ideal B + L of :func:`grade_wrt`, given while
+    forms regular on S/(B + L) are regular on ``pair``; a candidate is
+    decided by :func:`_shortcut_verdict` first, and by the exact test on
+    ``pair`` only when that leaves it open.  The callers check that the
     pair is graded, as :func:`is_regular_form` needs.
     """
     ring = pair.ring
@@ -498,9 +610,10 @@ def _search_regular_form(pair, block, rng, shortcut=None):
         return None  # zero block: H^0 is the whole (nonzero) module
     for attempt in range(RETRY_BUDGET):
         ell = _draw_form(ring, indices, rng, 1 + attempt)
-        if shortcut is not None and is_regular_form(shortcut, ell):
-            return ell
-        if is_regular_form(pair, ell):
+        verdict = None if shortcut is None else _shortcut_verdict(shortcut, pair.a, ell)
+        if verdict is None:
+            verdict = is_regular_form(pair, ell)
+        if verdict:
             return ell
         if attempt == _EXACT_H0_AFTER and not h0_is_zero(pair, block):
             return None
@@ -536,9 +649,13 @@ def grade_wrt(
     keeps the invariant when it is regular on S/(A + L): for x = b + y + l·s
     in A with b in B and y in L, s lies in A + L, say s = a' + y', and
     x - l·a' lies in A ∩ (B + L).  That test runs before the next step
-    only, and once it fails the search keeps to the exact test.  The cyclic
-    test never accepts a form the exact one rejects, so the forms accepted
-    are the same either way.
+    only, and once it fails the search keeps to the exact test.  A form
+    the cyclic test rejects is rejected at once when the same basis gives
+    a zerodivisor witness x in A, not in B + L, with l·x in (B + L)·A
+    ⊆ B + L·A (:func:`_shortcut_verdict`); only the others take the exact
+    pair test.  The cyclic test never accepts a form the exact one
+    rejects, and a witness never rejects one it accepts, so the forms
+    accepted are the same either way.
 
     Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
     the m block), like :func:`cd_wrt`.
@@ -558,9 +675,7 @@ def grade_wrt(
             cyclic_first = is_regular_form(
                 IdealPair.cyclic(pair.a + earlier), sequence[-1]
             )
-        shortcut = (
-            IdealPair.cyclic(pair.b + Ideal(ring, sequence)) if cyclic_first else None
-        )
+        shortcut = pair.b + Ideal(ring, sequence) if cyclic_first else None
         ell = _search_regular_form(current, block, rng, shortcut)
         if ell is None:
             break

@@ -30,8 +30,9 @@ from seqcm.groebner import (
     _reduce_terms,
     exact_div,
 )
+from seqcm.orders import MonomialOrder
 from seqcm.poly import BigradedRing, Polynomial, mono_degree, mono_divides, mono_support
-from seqcm.relcm import VariableBlock, _search_regular_form, cd_wrt
+from seqcm.relcm import VariableBlock, _pivot_substitution, _search_regular_form, cd_wrt
 
 
 # ---- reference monomial helpers ---------------------------------------------------
@@ -251,6 +252,19 @@ def exact_grade_search(pair, block, seed: int = 0) -> tuple:
         sequence.append(ell)
         pair = pair.mod_form(ell)
     return tuple(sequence)
+
+
+def plain_cyclic_is_regular(ideal: Ideal, ell: Polynomial) -> bool:
+    """The Bayer-Stillman test of the linear form l on S/I, I homogeneous,
+    with every generator of I carried into the basis: the reference for the
+    cyclic branch of ``relcm.is_regular_form``, which solves I's linear
+    generators first."""
+    ring = ideal.ring
+    pivot = max(exps.index(1) for exps in ell.terms)
+    repl = _pivot_substitution(ring, ell, pivot)
+    transformed = Ideal(ring, [g.substitute_variable(pivot, repl) for g in ideal.gens])
+    order = MonomialOrder.variable_last(pivot, ring.nvars)
+    return all(lm[pivot] == 0 for lm in transformed.leading_monomials(order))
 
 
 def slow_is_regular(pair, ell) -> bool:

@@ -7,6 +7,7 @@ import pytest
 from helpers import (
     exact_grade_search,
     monomials_of_degree,
+    plain_cyclic_is_regular,
     random_bihomogeneous,
     random_monomial_ideal,
     random_split_product,
@@ -29,7 +30,9 @@ from seqcm.relcm import (
     cd_wrt,
     find_regular_linear_form,
     grade_wrt,
+    _draw_form,
     _monomial_grade,
+    _shortcut_verdict,
     h0_is_zero,
     is_regular_form,
     is_relative_cm,
@@ -223,6 +226,46 @@ class TestRegularForms:
                 assert is_regular_form(pair, probe) == slow_is_regular(pair, probe)
                 compared += 1
         assert compared >= 30
+
+    def test_cyclic_test_modulo_linear_generators(self):
+        """S/(I + L) for I monomial or principal and L random block forms,
+        some linearly dependent, blocks P, Q and m, over QQ, GF(3) and
+        GF(32003): the test that first solves the linear generators agrees
+        with the Bayer-Stillman test on all generators, also for forms in
+        the span of L."""
+        rng = random.Random(1313)
+        compared = in_span = 0
+        for field in (QQ, PrimeField(3), PrimeField(32003)):
+            for k in (2, 3):
+                ring = BigradedRing(k, k, field)
+                for trial in range(8):
+                    if trial % 2:
+                        base = [random_bihomogeneous(rng, ring, 1, rng.randint(0, 2))]
+                    else:
+                        base = list(random_monomial_ideal(rng, ring, max_gens=3).gens)
+                    for indices in form_supports(ring):
+                        forms = [
+                            linear_form(ring, indices, [rng.randint(-3, 3) for _ in indices])
+                            for _ in range(rng.randint(1, len(indices)))
+                        ]
+                        forms = [ell for ell in forms if ell]
+                        if not forms:
+                            continue
+                        dependent = forms[0].scale(2) - forms[-1]
+                        ideal = Ideal(ring, base + forms + [dependent])
+                        pair = IdealPair.cyclic(ideal)
+                        spanned = forms[-1].scale(3) + dependent
+                        probes = [spanned] + [
+                            linear_form(ring, indices, [rng.randint(-3, 3) for _ in indices])
+                            for _ in range(2)
+                        ]
+                        for ell in filter(None, probes):
+                            got = is_regular_form(pair, ell)
+                            assert got == plain_cyclic_is_regular(ideal, ell), (ideal, ell)
+                            assert not (got and ell is spanned)
+                            compared += 1
+                        in_span += bool(spanned)
+        assert compared >= 400 and in_span >= 130
 
 
 class TestGrade:
@@ -592,9 +635,10 @@ class TestCyclicFirst:
     def test_accepted_level_pair_steps_need_no_intersection(self, monkeypatch):
         """(x1, y1*y2, y3)/(x1, y3) in 3+3 is a level pair of
         (x3*y3^2, x1*y1*y2, y3) w.r.t. P, of grade and cd 2.  Every
-        accepted form passes the cyclic test, so only a rejected candidate
-        pays for the exact test's intersection: none at seeds 0 and 2, one
-        at seed 1.  The exact-only search intersects on every step."""
+        accepted form passes the cyclic test, and the one rejected
+        candidate (at seed 1) has a product witness, so no step pays for
+        the exact test's intersection at seeds 0, 1 and 2.  The exact-only
+        search intersects on every step."""
         import seqcm.relcm as relcm
 
         calls = []
@@ -608,14 +652,103 @@ class TestCyclicFirst:
         a = Ideal(ring, [ring.parse(t) for t in ("x1", "y1*y2", "y3")])
         b = Ideal(ring, [ring.parse(t) for t in ("x1", "y3")])
         pair = IdealPair(a, b)
-        for seed, rejected in ((0, 0), (1, 1), (2, 0)):
+        for seed in (0, 1, 2):
             calls.clear()
             report = is_relative_cm(pair, P, seed, quotient_unmixed=True)
             assert (report.cd, report.grade) == (2, 2)
-            assert len(calls) == rejected
+            assert calls == []
             calls.clear()
             assert exact_grade_search(pair, P, seed) == report.regular_sequence
             assert len(calls) >= 2
+
+    def test_witness_rejections_agree_with_exact_test(self, monkeypatch):
+        """Random level pairs in 2+2, 3+3 and 4+4, blocks P, Q and m, over
+        QQ and GF(32003), seeds 0 and 1: every candidate rejected by a
+        product witness is a zerodivisor by the exact pair test, and every
+        candidate the cyclic test accepts is regular by it."""
+        import seqcm.relcm as relcm
+
+        search, verdict = relcm._search_regular_form, relcm._shortcut_verdict
+        current = []
+        outcomes = []
+
+        def searching(pair, block, rng, shortcut=None):
+            current.append(pair)
+            return search(pair, block, rng, shortcut)
+
+        def deciding(b_l, a, ell):
+            got = verdict(b_l, a, ell)
+            if got is not None:
+                assert got == is_regular_form(current[-1], ell), (current[-1], ell)
+                outcomes.append(got)
+            return got
+
+        monkeypatch.setattr(relcm, "_search_regular_form", searching)
+        monkeypatch.setattr(relcm, "_shortcut_verdict", deciding)
+        for field in (QQ, PrimeField(32003)):
+            cases = random_level_cases(
+                [BigradedRing(k, k, field) for k in (2, 3, 4)], (6, 4, 2), 606
+            ) + random_level_cases([BigradedRing(k, k, field) for k in (2, 3)], (10, 6), 707)
+            for pair, block in cases:
+                if not pair.is_cyclic():
+                    for seed in (0, 1):
+                        grade_wrt(pair, block, seed)
+        assert outcomes.count(False) >= 300 and outcomes.count(True) >= 120
+
+    def test_witness_needs_no_invariant(self):
+        """Random monomial pairs A/(A ∩ C), blocks P and m: after a first
+        form l1 that is regular on A/B but breaks the invariant (a
+        zerodivisor on S/A), every witness on S/(B + (l1)) still rejects
+        only zerodivisors of A/(B + l1·A)."""
+        rng = random.Random(9)
+        witnesses = 0
+        for _ in range(600):
+            ring = BigradedRing(rng.choice((2, 3)), rng.choice((1, 2)))
+            a = random_monomial_ideal(rng, ring, max_gens=3, max_degree=2)
+            b = intersect(a, random_monomial_ideal(rng, ring, max_gens=3, max_degree=3))
+            pair = IdealPair(a, b)
+            if pair.is_zero_module() or a.is_unit_ideal():
+                continue
+            indices = rng.choice((P, M)).variable_indices(ring)
+            l1 = _draw_form(ring, indices, rng, 1)
+            if not is_regular_form(pair, l1) or is_regular_form(IdealPair.cyclic(a), l1):
+                continue
+            for span in (1, 2, 3):
+                l2 = _draw_form(ring, indices, rng, span)
+                if _shortcut_verdict(b + Ideal(ring, [l1]), a, l2) is False:
+                    assert not is_regular_form(pair.mod_form(l1), l2), (pair, l1, l2)
+                    witnesses += 1
+        assert witnesses >= 20
+
+    def test_no_product_witness_falls_back_to_the_exact_test(self, monkeypatch):
+        """A level pair of (x2*x3*y2, x2^2*y3) in 3+3 w.r.t. P: l = 2*x2 + x3
+        is a zerodivisor on S/B, B = (x3, x2^2), and on A/B (x2*y2*y3 in A
+        is killed), but no product x2·ā, x2 the cofactor of x2^2, leaves B.
+        The shortcut leaves the candidate to the exact pair test, and the
+        search still accepts the forms of the exact-only search."""
+        import seqcm.relcm as relcm
+
+        ring = BigradedRing(3, 3)
+        a = Ideal(ring, [ring.parse(t) for t in (
+            "x2*y2*y3", "x2*x3*y2", "x2^2*y3", "x3", "x2^2"
+        )])
+        b = Ideal(ring, [ring.parse(t) for t in ("x3", "x2^2")])
+        pair = IdealPair(a, b)
+        ell = ring.parse("2*x2 + x3")
+        assert _shortcut_verdict(b, a, ell) is None
+        assert not is_regular_form(pair, ell) and not slow_is_regular(pair, ell)
+
+        verdicts = []
+
+        def recording(*args):
+            verdicts.append(_shortcut_verdict(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(relcm, "_shortcut_verdict", recording)
+        for seed in range(6):
+            got = grade_wrt(pair, P, seed).regular_sequence
+            assert got == exact_grade_search(pair, P, seed)
+        assert verdicts.count(None) >= 6
 
 
 class TestCdSubquotient:
