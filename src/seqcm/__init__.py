@@ -25,7 +25,6 @@ from .errors import (
     ParseError,
     RingMismatchError,
     SeqcmError,
-    UndecidableByRulesError,
     UnitIdealError,
     UnsupportedIdealClassError,
     ZeroModuleError,

@@ -37,10 +37,6 @@ class NoRegularFormError(SeqcmError):
     """
 
 
-class UndecidableByRulesError(SeqcmError):
-    """The subquotient cd rules do not apply; supply an unmixedness hint."""
-
-
 class UnsupportedIdealClassError(SeqcmError):
     """The decision procedure does not cover this ideal class."""
 

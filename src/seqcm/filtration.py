@@ -83,9 +83,6 @@ class PrimaryDecomposition:
     def cd_values(self) -> tuple:
         return tuple(sorted({c.cd_value for c in self.components}))
 
-    def is_unmixed(self) -> bool:
-        return len(self.cd_values()) == 1
-
 
 def _variable_prime(ring, variables) -> Ideal:
     return Ideal(ring, tuple(ring.gen(i) for i in sorted(variables)))
@@ -326,9 +323,7 @@ def _monomial_verdict(
             verify = VerifySpec.cyclic(I)
         else:
             pair = IdealPair(d_ideal + e_ideal, e_ideal, _trusted=True)
-            level_report = is_relative_cm(
-                pair, block, _level_seed(seed, index), quotient_unmixed=True
-            )
+            level_report = is_relative_cm(pair, block, _level_seed(seed, index))
             if level_report.cd != piece.cd_value:
                 raise CertificateVerificationError(
                     f"level cd {level_report.cd} disagrees with component cd "

@@ -394,8 +394,8 @@ class Ideal:
             raise RingMismatchError("element from a different ring")
         if not f:
             return True
-        if self.is_monomial_ideal():
-            monos = self.minimal_monomial_generators()
+        if self.is_monomial_ideal():  # divisibility by any generator will do
+            monos = [m for g in self.gens for m in g.terms]
             return all(
                 any(mono_divides(m, e) for m in monos) for e in f.terms
             )
@@ -575,21 +575,28 @@ def krull_dim(I: Ideal) -> int:
     """dim S/I as the maximum size of an independent set of variables.
 
     A set U is independent when no leading monomial of the reduced basis is
-    supported inside U.  For the unit ideal (the zero ring) the sentinel -1
-    is returned.
+    supported inside U.  A monomial ideal is its own initial ideal, so its
+    generators as given serve, with no basis.  For the unit ideal (the zero
+    ring) the sentinel -1 is returned.
     """
     ring = I.ring
     nv = ring.nvars
-    supports = [mono_support(m) for m in I.leading_monomials()]
+    if I.is_monomial_ideal():
+        monos = [m for g in I.gens for m in g.terms]
+    else:
+        monos = I.leading_monomials()
+    supports = [mono_support(m) for m in monos]
     if frozenset() in supports:
         return -1  # unit ideal: the zero ring
-    supports = [s for s in supports if s]
+    # A variable that is itself a leading monomial lies in no independent set.
+    dead = {v for s in supports if len(s) == 1 for v in s}
+    supports = [s for s in supports if not s & dead]
+    variables = [v for v in range(nv) if v not in dead]
     if not supports:
-        return nv
+        return len(variables)
     from itertools import combinations
 
-    variables = range(nv)
-    for size in range(nv, 0, -1):
+    for size in range(len(variables), 0, -1):
         for combo in combinations(variables, size):
             u = frozenset(combo)
             if not any(s <= u for s in supports):

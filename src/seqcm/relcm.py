@@ -6,12 +6,15 @@ x variables), Q (the y variables), or m (all variables, giving the classical
 depth/dimension theory).
 
 cd is computed through dimension: cd(Q, S/I) = dim S/(I + P), and dually for
-P; for the full block it is plain Krull dimension.  grade is the length of a
-maximal regular sequence of linear forms in the block variables, found by a
-seeded randomized search; over an infinite field a regular element of degree
-one exists whenever the grade is positive (prime avoidance), which is why
-the search is complete there.  Over a small prime field the search can
-exhaust; use the rationals or a large prime.
+P; for the full block it is plain Krull dimension.  cd depends only on the
+support (Divaani-Aazar, Naghipour and Tousi, Proc. AMS 130, 2002), so a
+subquotient has cd(A/B) = cd(S/(B : A)), B : A being its annihilator.
+
+grade is the length of a maximal regular sequence of linear forms in the
+block variables, found by a seeded randomized search; over an infinite field
+a regular element of degree one exists whenever the grade is positive (prime
+avoidance), which is why the search is complete there.  Over a small prime
+field the search can exhaust; use the rationals or a large prime.
 
 Each step of the search draws candidate forms; once two have failed, H^0 of
 the current quotient is decided exactly, and a nonzero H^0 ends the search.
@@ -75,7 +78,6 @@ from .errors import (
     CertificateVerificationError,
     NoRegularFormError,
     NotBihomogeneousError,
-    UndecidableByRulesError,
     ZeroModuleError,
 )
 from .groebner import (
@@ -231,32 +233,19 @@ def _principal_cd_grade(pair: IdealPair, block: VariableBlock):
     return n - (a == 0), n - (b > 0)
 
 
-def cd_subquotient(
-    pair: IdealPair, block: VariableBlock, *, quotient_unmixed: bool = False
-) -> int:
-    """cd of A/B by the decision rules (cyclic, exact sequence, unmixedness).
+def cd_subquotient(pair: IdealPair, block: VariableBlock) -> int:
+    """cd(block, A/B) = cd(block, S/(B : A)), exact for every graded pair.
 
-    Rules, in order: a cyclic pair delegates to :func:`cd_wrt`; if
-    cd(S/B) > cd(S/A) the exact sequence 0 -> A/B -> S/B -> S/A -> 0 forces
-    cd(A/B) = cd(S/B); if the caller certifies that S/B is relatively
-    unmixed, every nonzero submodule of S/B has the same cd.  Anything else
-    raises rather than guessing.
+    cd of a module depends only on its support (Divaani-Aazar, Naghipour
+    and Tousi, Proc. AMS 130, 2002), and Supp A/B = V(Ann A/B) = V(B : A).
+    A cyclic pair has B : A = B.
     """
     _require_graded(pair, block)
     if pair.is_zero_module():
         raise ZeroModuleError("cd of the zero module is undefined")
     if pair.is_cyclic():
         return cd_wrt(pair.b, block)
-    cd_b = cd_wrt(pair.b, block)
-    if not quotient_unmixed:
-        cd_a = cd_wrt(pair.a, block)
-        if cd_b > cd_a:
-            return cd_b
-        raise UndecidableByRulesError(
-            "cd of a non-cyclic subquotient needs cd(S/B) > cd(S/A) "
-            "or an unmixedness certificate for S/B"
-        )
-    return cd_b
+    return cd_wrt(_colon_ideal(pair.b, pair.a), block)
 
 
 # ---- exact grade of monomial modules ----------------------------------------------
@@ -688,13 +677,7 @@ def grade_wrt(
     return GradeWitness(len(sequence), tuple(sequence))
 
 
-def is_relative_cm(
-    pair: IdealPair,
-    block: VariableBlock,
-    seed: int = 0,
-    *,
-    quotient_unmixed: bool = False,
-) -> CdGradeReport:
+def is_relative_cm(pair: IdealPair, block: VariableBlock, seed: int = 0) -> CdGradeReport:
     """grade, cd, and the relative Cohen-Macaulay verdict grade == cd.
 
     cd comes first and bounds the grade search: grade <= cd holds for every
@@ -703,11 +686,11 @@ def is_relative_cm(
     exact H^0 proof) is skipped.  For a principal S/fS and the block P or Q,
     cd and grade are read off the bidegree of f (see the module docstring):
     no dimension is computed, and the search stops at the known grade, so
-    it skips the terminal H^0 proof even when grade < cd.  For monomial A
-    and B, cd comes from :func:`cd_subquotient` and the search stops at the
-    Koszul grade (:func:`_monomial_grade`), with the same effect.  In every
-    case the grade and regular sequence equal those of an unstopped
-    :func:`grade_wrt` with the same seed.
+    it skips the terminal H^0 proof even when grade < cd.  Otherwise cd
+    comes from :func:`cd_subquotient`, and for monomial A and B the search
+    stops at the Koszul grade (:func:`_monomial_grade`), with the same
+    effect.  In every case the grade and regular sequence equal those of an
+    unstopped :func:`grade_wrt` with the same seed.
 
     Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
     the m block): cd's dimension formula and grade <= cd hold only then.
@@ -715,7 +698,7 @@ def is_relative_cm(
     _require_graded(pair, block)
     closed = _principal_cd_grade(pair, block)
     if closed is None:
-        cd = cd_subquotient(pair, block, quotient_unmixed=quotient_unmixed)
+        cd = cd_subquotient(pair, block)
         stop = _monomial_grade(pair, block)
         if stop is None:
             stop = cd

@@ -274,6 +274,47 @@ class TestVerify:
         problems = verify_certificate(doc)
         assert problems
 
+    @pytest.mark.parametrize(
+        "tamper,message",
+        [
+            (
+                lambda f: f.update(base=["x1"]),
+                "filtration base is not the input ideal",
+            ),
+            (
+                lambda f: f["levels"][-1].update(ideal=["x1"]),
+                "last level ideal is not (1)",
+            ),
+        ],
+        ids=("base", "last_level_ideal"),
+    )
+    def test_tampered_filtration_ends_are_four(
+        self, capsys, monkeypatch, tamper, message
+    ):
+        """The two_planes certificate with its base or its last level ideal
+        replaced by (x1): every level still rechecks, but the filtration no
+        longer runs from the input ideal to (1)."""
+        import seqcm.cli as cli
+
+        def tampered_run(*args):
+            doc = run(*args)
+            tamper(doc["verdict"]["filtration"])
+            return doc
+
+        monkeypatch.setattr(cli, "run", tampered_run)
+        path = str(CORPUS / "two_planes.ring")
+        code, _, err = run_cli(capsys, "seqcm", path, "--verify")
+        assert code == 4
+        assert err == f"{path}: verify: {message}\n"
+
+    def test_base_is_compared_as_an_ideal(self):
+        """A base written with other generators of the same ideal passes."""
+        problem = parse_problem((CORPUS / "two_planes.ring").read_text())
+        doc = run("seqcm", problem, VariableBlock.Q, 0)
+        filtration = doc["verdict"]["filtration"]
+        filtration["base"] = filtration["base"][::-1] + ["x1*x2*y1"]
+        assert verify_certificate(doc) == []
+
 
 class TestCorpus:
     def test_manifest_expectations(self, capsys):

@@ -461,6 +461,8 @@ class TestKrullDim:
 
     def test_matches_minimal_prime_covariables(self, R22):
         # For monomial ideals dim = max over components of (nvars - |radical|).
+        # Adding a variable (as cd_wrt adds a block) drops it from every
+        # independent set, which krull_dim does before its search.
         from seqcm.filtration import monomial_primary_decomposition
         from seqcm.relcm import VariableBlock
 
@@ -469,6 +471,7 @@ class TestKrullDim:
             I = random_monomial_ideal(rng, R22)
             if I.is_unit_ideal():
                 continue
-            decomposition = monomial_primary_decomposition(I, VariableBlock.M)
-            combinatorial = max(c.cd_value for c in decomposition.components)
-            assert krull_dim(I) == combinatorial
+            for J in (I, I + Ideal(R22, (R22.y(2),))):
+                decomposition = monomial_primary_decomposition(J, VariableBlock.M)
+                combinatorial = max(c.cd_value for c in decomposition.components)
+                assert krull_dim(J) == combinatorial

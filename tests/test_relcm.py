@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from helpers import (
+    cyclic_submodule_cd,
     exact_grade_search,
     monomials_of_degree,
     plain_cyclic_is_regular,
@@ -16,7 +17,6 @@ from helpers import (
 from seqcm.errors import (
     NoRegularFormError,
     NotBihomogeneousError,
-    UndecidableByRulesError,
     ZeroModuleError,
 )
 from seqcm.fields import QQ, PrimeField
@@ -348,13 +348,8 @@ class TestGradeStopsAtCd:
         compared = 0
         for pair in cases:
             for block in (P, Q, M):
-                unmixed = not pair.is_cyclic()
-                try:
-                    cd_subquotient(pair, block, quotient_unmixed=unmixed)
-                except UndecidableByRulesError:
-                    continue
                 for seed in (0, 1):
-                    report = is_relative_cm(pair, block, seed, quotient_unmixed=unmixed)
+                    report = is_relative_cm(pair, block, seed)
                     full = grade_wrt(pair, block, seed)
                     assert report.grade == full.grade
                     assert report.regular_sequence == full.regular_sequence
@@ -545,10 +540,9 @@ class TestMonomialGrade:
             rings = [BigradedRing(k, k, field) for k in (2, 3, 4)]
             for pair, block in random_level_cases(rings, (6, 4, 2), 606):
                 grade = _monomial_grade(pair, block)
-                unmixed = not pair.is_cyclic()
                 for seed in (0, 1):
                     full = grade_wrt(pair, block, seed)
-                    report = is_relative_cm(pair, block, seed, quotient_unmixed=unmixed)
+                    report = is_relative_cm(pair, block, seed)
                     assert grade == full.grade, (pair, block)
                     assert report.grade == full.grade
                     assert report.regular_sequence == full.regular_sequence
@@ -654,7 +648,7 @@ class TestCyclicFirst:
         pair = IdealPair(a, b)
         for seed in (0, 1, 2):
             calls.clear()
-            report = is_relative_cm(pair, P, seed, quotient_unmixed=True)
+            report = is_relative_cm(pair, P, seed)
             assert (report.cd, report.grade) == (2, 2)
             assert calls == []
             calls.clear()
@@ -761,18 +755,49 @@ class TestCdSubquotient:
         pair = IdealPair.cyclic(Ideal(R22, (segre_quadric,)))
         assert cd_subquotient(pair, Q) == cd_wrt(Ideal(R22, (segre_quadric,)), Q)
 
-    def test_unmixed_hint_rule(self, R22):
+    def test_unmixed_pair_needs_no_hint(self, R22):
         a = Ideal(R22, (R22.x(1), R22.y(1), R22.x(2), R22.y(2)))
         b = Ideal(R22, (R22.x(2), R22.y(2)))
         pair = IdealPair(a, b)
-        assert cd_subquotient(pair, Q, quotient_unmixed=True) == 1
+        assert cd_subquotient(pair, Q) == 1
 
-    def test_ambiguous_case_raises(self, R22):
-        pair = IdealPair(
-            Ideal(R22, (R22.x(1),)), Ideal(R22, (R22.parse("x1*y1"),))
-        )
-        with pytest.raises(UndecidableByRulesError):
-            cd_subquotient(pair, Q)
+    def test_pair_outside_the_old_rules_is_exact(self, R22):
+        """(x1)/(x1*y1) ≅ S/(y1) up to shift: cd(S/B) = cd(S/A) = 2, so the
+        exact-sequence rule did not apply, and trusting an unmixedness hint
+        read cd 2.  Its annihilator is (y1), so cd is 1 and the module is
+        relative CM."""
+        pair = IdealPair(Ideal(R22, (R22.x(1),)), Ideal(R22, (R22.parse("x1*y1"),)))
+        assert cd_subquotient(pair, Q) == 1
+        report = is_relative_cm(pair, Q)
+        assert (report.cd, report.grade, report.relative_cm) == (1, 1, True)
+
+    def test_matches_cyclic_submodule_oracle(self):
+        """Random monomial pairs B ⊆ A in 2+2 and 3+3, blocks P, Q and m:
+        cd(A/B) is the largest cd of the cyclic submodules of S/B generated
+        by the minimal generators of A outside B, since the support of A/B is
+        the union of theirs.  The count includes the pairs with
+        cd(S/B) <= cd(S/A), which the exact-sequence rule could not decide."""
+        rng = random.Random(1414)
+        compared = refused = 0
+        for k in (2, 3):
+            ring = BigradedRing(k, k)
+            for _ in range(12):
+                b = random_monomial_ideal(rng, ring, max_gens=3)
+                a = b + random_monomial_ideal(rng, ring, max_gens=3)
+                pair = IdealPair(a, b, _trusted=True)
+                if a.is_unit_ideal() or pair.is_zero_module():
+                    continue
+                for block in (P, Q, M):
+                    want = max(
+                        cyclic_submodule_cd(b, u, block)
+                        for u in a.minimal_monomial_generators()
+                        if not b.contains(ring.monomial(u))
+                    )
+                    assert cd_subquotient(pair, block) == want, (pair, block)
+                    compared += 1
+                    refused += cd_wrt(b, block) <= cd_wrt(a, block)
+        assert compared >= 50
+        assert refused >= 20
 
 
 class TestRelativeCm:
