@@ -3,9 +3,9 @@
 These are the shared result types of the decision procedures: a chain of
 ideals whose successive quotients carry per-level cd/grade records, plus a
 routing tag saying which procedure produced the verdict.  Every level also
-records how to re-check it from the certificate alone (a cyclic isomorph, a
-pair with an unmixedness certificate, or a saturation identity), which is
-what the CLI's --verify mode replays.
+records how to re-check it from the certificate alone (a cyclic isomorph, an
+ideal pair, or a saturation identity), which is what the CLI's --verify
+mode replays.
 """
 
 from __future__ import annotations
@@ -31,9 +31,8 @@ class VerifySpec:
     """Self-contained recipe to recompute one level's cd and grade.
 
     kind "cyclic": the quotient is isomorphic to S/`quotient`.
-    kind "pair": the quotient is `pair_a`/`pair_b` where S/`pair_b` is
-    relatively unmixed of the stated cd (recheckable from its monomial
-    primary decomposition).
+    kind "pair": the quotient is `pair_a`/`pair_b`; its cd and grade are
+    recomputed by :func:`seqcm.relcm.is_relative_cm` on that pair.
     kind "h0": the level ideal is the block-saturation of `h0_of`, so the
     quotient is the H^0 submodule (cd 0, grade 0).
     """

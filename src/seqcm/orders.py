@@ -36,10 +36,10 @@ class MonomialOrder:
 
     ``block-eliminate`` compares the first ``block`` variables grevlex-first,
     so it eliminates those leading (auxiliary) variables.  ``last_var``
-    selects a grevlex variant with one chosen variable rotated to the
-    smallest position; it is plain grevlex after relabeling, and it puts any
-    variable where the colon-by-variable and regular-form fast paths read it
-    off the initial ideal.
+    (built by :meth:`variable_last`) selects a grevlex variant with one
+    chosen variable rotated to the smallest position; it is plain grevlex
+    after relabeling, and it puts any variable where the colon-by-variable
+    and regular-form fast paths read it off the initial ideal.
     """
 
     tag: str = GREVLEX
@@ -57,16 +57,12 @@ class MonomialOrder:
         return cls(ELIMINATE, block=block)
 
     @classmethod
-    def grevlex_last(cls, var_index: int) -> "MonomialOrder":
-        return cls(GREVLEX, last_var=var_index)
-
-    @classmethod
     def variable_last(cls, var_index: int, nvars: int) -> "MonomialOrder":
         """Grevlex with ``var_index`` smallest: plain grevlex when it is the
         last variable already, so both spellings share one basis memo key."""
         if var_index == nvars - 1:
             return cls.grevlex()
-        return cls.grevlex_last(var_index)
+        return cls(GREVLEX, last_var=var_index)
 
     def sort_key(self, nvars: int):
         """Return a key function on exponent tuples of length ``nvars``.

@@ -553,7 +553,12 @@ def parse_polynomial(
                 kind3, val3, ln3, col3 = tz.next()
                 if kind3 != "int" or int(val3) == 0:
                     raise ParseError("denominator must be a nonzero integer", ln3, col3)
-                return ring.constant(Fraction(num, int(val3)))
+                try:
+                    return ring.constant(Fraction(num, int(val3)))
+                except ValueError:  # the denominator vanishes in GF(p)
+                    raise ParseError(
+                        f"denominator {val3} is not invertible in {ring.field.name}", ln3, col3
+                    ) from None
             return ring.constant(num)
         if kind == "name":
             idx = ring.variable_index(val)

@@ -47,24 +47,39 @@ exponents outside V range over 0 and the generators' values, and the
 exponents in V over the lcms of the generators of A or of B that such a
 strand keeps.  :func:`is_relative_cm` stops the search at that grade.
 
-On a non-cyclic pair, :func:`grade_wrt` tests a candidate on the cyclic
-S/(B + L) first, for L the forms accepted so far; the invariant
-A ∩ (B + L) = B + L·A that makes an acceptance there sound is checked
-before each further step.  A candidate that test rejects is rejected
-outright when its basis yields a zerodivisor witness (see
-:func:`_shortcut_verdict`), and goes to the exact pair test otherwise.
-
 H^0 = 0 and the regularity of a form l are one colon condition,
 (B : J) ∩ A ⊆ B for J the block ideal or (l).  H^0 takes one colon round of
-:mod:`seqcm.groebner` by the block generators.  A linear l over homogeneous
-B is tested after a linear change of coordinates sending l to its pivot,
-the largest-index variable it involves; with the pivot last in grevlex,
-regularity is visible on the initial ideal (Bayer-Stillman).  On a cyclic
-module the linear generators of B are solved first: S/B is R/B̄ over the
-polynomial ring R on the variables left, so the test runs on the smaller
-B̄.  The P, Q and m blocks share this one coordinate path: a drawn form's
-pivot is its block's last variable.  The test suite keeps the elimination
-route of the colon as the reference for both tests.
+:mod:`seqcm.groebner` by the block generators.
+
+Whether l is regular on a module A/B' is decided by one section test.
+The section of a homogeneous ideal J is its linear generators solved, each
+for its largest-index variable, and substituted into its other generators,
+so that S/J = R/J̄ for the polynomial ring R on the variables left.  The
+substitutions send l to l̄, and a linear change of coordinates sends l̄ to
+its pivot v, its largest-index variable.  With v last in grevlex (which on
+S restricts to grevlex on R), l is regular on S/J iff no lead of the basis
+G of J̄ involves v (Bayer-Stillman).  The verdict is
+  True   when l is regular on S/J;
+  False  when l̄ = 0, or when a product (g/v)·ā, for g in G with v dividing
+         its lead (then v divides all of g) and ā a transformed generator
+         of A, is nonzero modulo G: it pulls back to x in A outside J with
+         l·x in J·A;
+  None   otherwise, and only None pays for the exact test
+         (B' : l) ∩ A ⊆ B', a colon and an elimination intersect.
+False is sound when J·A ⊆ B' ⊆ J (l̄ = 0 puts l·A in J·A), and True when
+A ∩ J = B'.  Two choices of J meet both:
+  J = B' = B, in :func:`is_regular_form`, because A/B is a submodule of S/B;
+  J = B + L in a step of :func:`grade_wrt`, for L the ideal of the forms
+         accepted so far and B' = B + L·A, while the invariant
+         A ∩ (B + L) = B + L·A holds.  It holds for L = 0, and for A = (1)
+         always.  An accepted l keeps it when l is regular on S/(A + L):
+         for x = b + y + l·s in A with b in B and y in L, s lies in A + L,
+         say s = a' + y', and x - l·a' lies in A ∩ (B + L).
+A non-cyclic search tests the invariant before each further step, and once
+it fails takes J = B' itself.  The section of J is computed once per step,
+for all of its candidates.  The P, Q and m blocks share this coordinate
+path: a drawn form's pivot is its block's last variable.  The test suite
+keeps the elimination route of the colon as the reference for both tests.
 """
 
 from __future__ import annotations
@@ -418,10 +433,11 @@ def _pivot_substitution(ring: BigradedRing, ell: Polynomial, pivot: int) -> Poly
 
 
 def _solve_linear(ring: BigradedRing, gens) -> tuple:
-    """(subs, rest) for homogeneous generators: the linear ones solved by
-    Gaussian elimination, each for its largest-index variable, as
-    substitutions [(variable, replacement)], and the others.  No replacement
-    involves a solved variable, so the substitutions apply one by one."""
+    """The section (subs, rest) of the ideal of homogeneous generators: the
+    linear ones solved by Gaussian elimination, each for its largest-index
+    variable, as substitutions [(variable, replacement)], and the others
+    with the substitutions applied.  No replacement involves a solved
+    variable, so the substitutions apply one by one."""
     field = ring.field
     rows = {}  # solved variable -> its row {variable: coefficient}, one there
     rest = []
@@ -445,7 +461,7 @@ def _solve_linear(ring: BigradedRing, gens) -> tuple:
     for p, row in rows.items():
         del row[p]
         subs.append((p, _linear_form(ring, list(row), [-c for c in row.values()])))
-    return subs, rest
+    return subs, [_substitute(g, subs) for g in rest]
 
 
 def _substitute(f: Polynomial, subs) -> Polynomial:
@@ -456,54 +472,41 @@ def _substitute(f: Polynomial, subs) -> Polynomial:
     return f
 
 
-def _reduced_pivot_ideal(b: Ideal, ell: Polynomial) -> tuple:
-    """(subs, b_t, order) for the cyclic test of l on S/B, B homogeneous.
-
-    subs solves B's linear generators and then sends the image l̄ of l to
-    its pivot v; b_t is the image of B's other generators and order is
-    grevlex with v last.  b_t is None when l̄ = 0, that is when l lies in B.
-    """
-    ring = b.ring
-    subs, rest = _solve_linear(ring, b.gens)
+def _section_verdict(section, a: Ideal, ell: Polynomial):
+    """The section test of the module docstring for l on the nonzero module
+    A/B', given the section (subs, rest) of J: True or False when it decides
+    l, None when it leaves l to the exact test.  For A = (1) a failed lead
+    test is a witness on its own: g/v has its lead outside in(J̄), since G
+    is reduced."""
+    subs, rest = section
     ell = _substitute(ell, subs)
     if not ell:
-        return subs, None, None
-    pivot = max(exps.index(1) for exps in ell.terms)
-    subs.append((pivot, _pivot_substitution(ring, ell, pivot)))
-    b_t = Ideal(ring, [_substitute(g, subs) for g in rest])
-    return subs, b_t, MonomialOrder.variable_last(pivot, ring.nvars)
-
-
-def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
-    """Exact test that the linear form l is a nonzerodivisor on A/B:
-    (B : l) ∩ A ⊆ B, for homogeneous B.
-
-    A linear change of coordinates sends l to its pivot v, the
-    largest-index variable of l.  With v last in grevlex, l is regular on a
-    cyclic module iff no minimal generator of the transformed initial ideal
-    involves v (Bayer-Stillman); on a general pair the colon by v is read
-    off the same kind of basis and intersected with the transformed A.
-    On a cyclic module the linear generators of B are first solved, each
-    for its largest-index variable, and substituted into the other
-    generators and into l; v is then the pivot of the image l̄.  This is
-    exact: S/B is R/B̄ for R the polynomial ring on the variables left, and
-    grevlex on S with v last restricts to grevlex on R with v last.  l̄ = 0
-    means l ∈ B, so l is not regular.  When v is the last ring variable,
-    the tests ask for the plain grevlex basis
-    (:meth:`MonomialOrder.variable_last`), the order and memo key the rest
-    of the engine uses.  Raises ``ValueError`` unless l is linear and B
-    homogeneous.
-    """
-    if not ell:
         return False
-    if any(sum(e) != 1 for e in ell.terms) or not pair.b.is_homogeneous():
-        raise ValueError("the regularity test needs a linear form and a homogeneous B")
-    if pair.is_cyclic():
-        subs, b_t, order = _reduced_pivot_ideal(pair.b, ell)
-        if b_t is None:
-            return False  # l lies in B
-        pivot = subs[-1][0]
-        return all(lm[pivot] == 0 for lm in b_t.leading_monomials(order))
+    ring = ell.ring
+    pivot = max(exps.index(1) for exps in ell.terms)
+    to_pivot = [(pivot, _pivot_substitution(ring, ell, pivot))]
+    order = MonomialOrder.variable_last(pivot, ring.nvars)
+    keyfn = order.sort_key(ring.nvars)
+    basis = Ideal(ring, [_substitute(g, to_pivot) for g in rest]).groebner_basis(order)
+    v = next(iter(ring.gen(pivot).terms))
+    cofactors = [  # g/v for the g in G whose lead v divides
+        Polynomial._raw(ring, {mono_div(e, v): k for e, k in g.terms.items()})
+        for g in basis
+        if g.leading_monomial(keyfn)[pivot]
+    ]
+    if not cofactors:
+        return True
+    if a.is_unit_ideal():
+        return False
+    a_t = [_substitute(g, subs + to_pivot) for g in a.gens]
+    if any(normal_form(c * x, basis, order) for c in cofactors for x in a_t):
+        return False
+    return None
+
+
+def _exact_regular(pair: IdealPair, ell: Polynomial) -> bool:
+    """(B : l) ∩ A ⊆ B, by a colon and an elimination intersect in the
+    coordinates that send l to its pivot."""
     ring = pair.ring
     pivot = max(exps.index(1) for exps in ell.terms)
     repl = _pivot_substitution(ring, ell, pivot)
@@ -513,40 +516,18 @@ def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
     return b_t.contains_ideal(intersect(quotient, a_t))
 
 
-def _shortcut_verdict(b_l: Ideal, a: Ideal, ell: Polynomial):
-    """True when l is regular on S/(B + L), for b_l = B + L; False when a
-    zerodivisor witness shows l not regular on A/(B + L·A); None otherwise.
-
-    Both answers come off one basis: G, the pivot-last basis of the cyclic
-    test of l on S/(B + L) (:func:`is_regular_form`).  For each g in G whose
-    lead the pivot v divides, v divides all of g (g is homogeneous and v
-    last), and the cofactor c = g/v satisfies v·c in the transformed
-    B + L.  A product c·ā, ā the transformed generator a of A, outside the
-    transformed B + L pulls back to x = c'·a in A with x not in B + L and
-    l·c' in B + L (the substitution's kernel is spanned by linear
-    generators of B + L), so l·x lies in (B + L)·A ⊆ B + L·A: x is a
-    nonzero element of A/(B + L·A) killed by l.  When l lies in B + L, any
-    generator a of A outside B + L is such an x, with c' = 1.  Neither
-    case needs the invariant of :func:`grade_wrt`.
+def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
+    """Exact test that the linear form l is a nonzerodivisor on the nonzero
+    module A/B, for homogeneous B: the section test of the module docstring
+    with J = B' = B, and the exact test (B : l) ∩ A ⊆ B when it leaves l
+    open.  Raises ``ValueError`` unless l is linear and B homogeneous.
     """
-    subs, b_t, order = _reduced_pivot_ideal(b_l, ell)
-    if b_t is None:
-        return None if b_l.contains_ideal(a) else False
-    ring, pivot = b_t.ring, subs[-1][0]
-    keyfn = order.sort_key(ring.nvars)
-    basis = b_t.groebner_basis(order)
-    v = next(iter(ring.gen(pivot).terms))
-    cofactors = [  # g/v for the g in G whose lead v divides
-        Polynomial._raw(ring, {mono_div(e, v): k for e, k in g.terms.items()})
-        for g in basis
-        if g.leading_monomial(keyfn)[pivot]
-    ]
-    if not cofactors:
-        return True
-    a_t = [_substitute(g, subs) for g in a.gens]
-    if any(normal_form(c * x, basis, order) for c in cofactors for x in a_t):
+    if not ell:
         return False
-    return None
+    if any(sum(e) != 1 for e in ell.terms) or not pair.b.is_homogeneous():
+        raise ValueError("the regularity test needs a linear form and a homogeneous B")
+    verdict = _section_verdict(_solve_linear(pair.ring, pair.b.gens), pair.a, ell)
+    return _exact_regular(pair, ell) if verdict is None else verdict
 
 
 def _draw_form(ring, indices, rng, span):
@@ -573,7 +554,7 @@ def find_regular_linear_form(
     :class:`NotBihomogeneousError` unless A/B is bigraded (graded for m).
     """
     _require_graded(pair, block)
-    ell = _search_regular_form(pair, block, random.Random(seed))
+    ell = _search_regular_form(pair, block, random.Random(seed), pair.b)
     if ell is None:
         raise NoRegularFormError(
             "H^0 of the module is nonzero, so no linear form is regular on it"
@@ -581,27 +562,26 @@ def find_regular_linear_form(
     return ell
 
 
-def _search_regular_form(pair, block, rng, shortcut=None):
+def _search_regular_form(pair, block, rng, j):
     """Regular form for one grade step, or None once H^0 != 0 is proven.
 
-    An exact test decides H^0 once ``_EXACT_H0_AFTER + 1`` candidates have
-    failed, keeping the grade value itself seed independent.  A regular
-    form drawn before that skips the test: it proves H^0 = 0 on its own.
-    ``shortcut`` is the ideal B + L of :func:`grade_wrt`, given while
-    forms regular on S/(B + L) are regular on ``pair``; a candidate is
-    decided by :func:`_shortcut_verdict` first, and by the exact test on
-    ``pair`` only when that leaves it open.  The callers check that the
-    pair is graded, as :func:`is_regular_form` needs.
+    Each candidate takes the section test against J (computed once for the
+    step; see the module docstring), and the exact test only when that
+    leaves it open.  H^0 is decided exactly once ``_EXACT_H0_AFTER + 1``
+    candidates have failed, keeping the grade value seed independent; a
+    regular form drawn before that proves H^0 = 0 on its own.  The callers
+    check that the pair is graded.
     """
     ring = pair.ring
     indices = block.variable_indices(ring)
     if not indices:
         return None  # zero block: H^0 is the whole (nonzero) module
+    section = _solve_linear(ring, j.gens)
     for attempt in range(RETRY_BUDGET):
         ell = _draw_form(ring, indices, rng, 1 + attempt)
-        verdict = None if shortcut is None else _shortcut_verdict(shortcut, pair.a, ell)
+        verdict = _section_verdict(section, pair.a, ell)
         if verdict is None:
-            verdict = is_regular_form(pair, ell)
+            verdict = _exact_regular(pair, ell)
         if verdict:
             return ell
         if attempt == _EXACT_H0_AFTER and not h0_is_zero(pair, block):
@@ -621,30 +601,14 @@ def grade_wrt(
     A/(B + l·A) for a regular linear form l.  The search runs until H^0 of
     the remaining quotient is proven nonzero, bounded only by the block
     size.  The returned value is seed independent (H^0 is decided exactly
-    whenever a step ends); only the witness depends on the seed.
+    whenever a step ends); only the witness depends on the seed.  Each step
+    tests its candidates as the module docstring describes.
 
     ``_stop`` (for callers that know cd or the grade, such as
     :func:`is_relative_cm`) ends the search once the sequence has that many
     forms.  Since grade <= cd, a search stopped at cd skips only the
     terminal step, which could do nothing but prove H^0 != 0; the forms
     drawn before it come from the same stream, so the witness is unchanged.
-
-    On a non-cyclic pair a candidate l is first tested on the cyclic module
-    S/(B + L), for L the ideal of the forms accepted so far, and the exact
-    pair test (a colon and an elimination intersect) runs only when l fails
-    there.  That is sound while A ∩ (B + L) = B + L·A, which holds for
-    L = 0: if l is regular on S/(B + L), a is in A and l·a in
-    B + L·A ⊆ B + L, then a lies in A ∩ (B + L) = B + L·A.  An accepted l
-    keeps the invariant when it is regular on S/(A + L): for x = b + y + l·s
-    in A with b in B and y in L, s lies in A + L, say s = a' + y', and
-    x - l·a' lies in A ∩ (B + L).  That test runs before the next step
-    only, and once it fails the search keeps to the exact test.  A form
-    the cyclic test rejects is rejected at once when the same basis gives
-    a zerodivisor witness x in A, not in B + L, with l·x in (B + L)·A
-    ⊆ B + L·A (:func:`_shortcut_verdict`); only the others take the exact
-    pair test.  The cyclic test never accepts a form the exact one
-    rejects, and a witness never rejects one it accepts, so the forms
-    accepted are the same either way.
 
     Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
     the m block), like :func:`cd_wrt`.
@@ -657,15 +621,13 @@ def grade_wrt(
     current = pair
     sequence = []
     bound = len(block.variable_indices(ring))
-    cyclic_first = not pair.is_cyclic()
+    invariant = True  # A ∩ (B + L) = B + L·A, always true for A = (1)
     while _stop is None or len(sequence) < _stop:
-        if cyclic_first and sequence:  # does the last form keep the invariant?
+        if invariant and sequence and not pair.is_cyclic():  # kept by the last form?
             earlier = Ideal(ring, sequence[:-1])
-            cyclic_first = is_regular_form(
-                IdealPair.cyclic(pair.a + earlier), sequence[-1]
-            )
-        shortcut = pair.b + Ideal(ring, sequence) if cyclic_first else None
-        ell = _search_regular_form(current, block, rng, shortcut)
+            invariant = is_regular_form(IdealPair.cyclic(pair.a + earlier), sequence[-1])
+        j = pair.b + Ideal(ring, sequence) if invariant else current.b
+        ell = _search_regular_form(current, block, rng, j)
         if ell is None:
             break
         sequence.append(ell)

@@ -13,6 +13,7 @@ import itertools
 import random
 from fractions import Fraction
 
+from seqcm.errors import NoRegularFormError
 from seqcm.filtration import (
     DimensionFiltration,
     FiltrationSlice,
@@ -32,7 +33,16 @@ from seqcm.groebner import (
 )
 from seqcm.orders import MonomialOrder
 from seqcm.poly import BigradedRing, Polynomial, mono_degree, mono_divides, mono_support
-from seqcm.relcm import VariableBlock, _pivot_substitution, _search_regular_form, cd_wrt
+from seqcm.relcm import (
+    _EXACT_H0_AFTER,
+    RETRY_BUDGET,
+    VariableBlock,
+    _draw_form,
+    _exact_regular,
+    _pivot_substitution,
+    cd_wrt,
+    h0_is_zero,
+)
 
 
 # ---- reference monomial helpers ---------------------------------------------------
@@ -243,12 +253,23 @@ def elimination_saturation(I: Ideal, J: Ideal) -> Ideal:
 
 
 def exact_grade_search(pair, block, seed: int = 0) -> tuple:
-    """The regular sequence of an unstopped grade search that tests every
-    candidate on the pair itself: the reference for the cyclic-first test
-    of ``relcm.grade_wrt``."""
+    """The regular sequence of an unstopped grade search that decides every
+    candidate by the exact pair test (B : l) ∩ A ⊆ B on the current
+    quotient: the reference for the section test of ``relcm.grade_wrt``.
+    It draws the same candidate stream, with the same retry budget, and
+    decides H^0 exactly once two candidates of a step have failed."""
     rng = random.Random(seed)
+    indices = block.variable_indices(pair.ring)
     sequence = []
-    while (ell := _search_regular_form(pair, block, rng)) is not None:
+    while indices:
+        for attempt in range(RETRY_BUDGET):
+            ell = _draw_form(pair.ring, indices, rng, 1 + attempt)
+            if _exact_regular(pair, ell):
+                break
+            if attempt == _EXACT_H0_AFTER and not h0_is_zero(pair, block):
+                return tuple(sequence)
+        else:
+            raise NoRegularFormError("the reference search exhausted its retry budget")
         sequence.append(ell)
         pair = pair.mod_form(ell)
     return tuple(sequence)
@@ -257,7 +278,7 @@ def exact_grade_search(pair, block, seed: int = 0) -> tuple:
 def plain_cyclic_is_regular(ideal: Ideal, ell: Polynomial) -> bool:
     """The Bayer-Stillman test of the linear form l on S/I, I homogeneous,
     with every generator of I carried into the basis: the reference for the
-    cyclic branch of ``relcm.is_regular_form``, which solves I's linear
+    section test of ``relcm.is_regular_form``, which solves I's linear
     generators first."""
     ring = ideal.ring
     pivot = max(exps.index(1) for exps in ell.terms)

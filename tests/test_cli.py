@@ -108,6 +108,13 @@ class TestExitCodes:
         assert code == 3
         assert "parse error" in err
 
+    def test_denominator_zero_mod_p_is_three(self, tmp_path, capsys):
+        path = write_problem(tmp_path, "ring m=1 n=1 field=GF(5)\nideal 1/5*x1*y1\n")
+        code, out, err = run_cli(capsys, "seqcm", path)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert "not invertible in GF(5) (line 2, column 9)" in err
+
     def test_primdec_requires_monomial(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1*y1 + x2*y2\n")
         code, _, err = run_cli(capsys, "primdec", path)

@@ -184,6 +184,20 @@ class TestPrimeField:
             PrimeField(65536)
 
 
+    def test_denominator_divisible_by_p_is_a_parse_error(self):
+        """A p/q coefficient whose reduced denominator vanishes in GF(p) is
+        reported at the denominator; one whose fraction reduces away from
+        p still parses."""
+        ring = BigradedRing(1, 1, PrimeField(5))
+        with pytest.raises(ParseError, match="not invertible in GF\\(5\\)") as err:
+            ring.parse("x1 + 1/5*x1*y1")
+        assert (err.value.line, err.value.column) == (1, 8)
+        with pytest.raises(ParseError):
+            ring.parse("2/10*y1")
+        assert ring.parse("10/5*y1") == ring.parse("2*y1")
+        assert str(ring.parse("3/2*y1")) == "4*y1"
+
+
 class TestStructuralMaps:
     def test_substitute_variable(self, R22):
         p = R22.parse("x1^2*y1 + y1")

@@ -31,8 +31,11 @@ from seqcm.relcm import (
     find_regular_linear_form,
     grade_wrt,
     _draw_form,
+    _exact_regular,
     _monomial_grade,
-    _shortcut_verdict,
+    _search_regular_form,
+    _section_verdict,
+    _solve_linear,
     h0_is_zero,
     is_regular_form,
     is_relative_cm,
@@ -599,15 +602,16 @@ class TestMonomialGrade:
 
 
 class TestCyclicFirst:
-    """On a non-cyclic pair, grade_wrt tests a candidate on S/(B + L) first
-    and keeps that shortcut only while each accepted form is regular on
-    S/(A + L), L the ideal of the earlier forms."""
+    """Each grade step tests its candidates on the section of J: J = B + L
+    while A ∩ (B + L) = B + L·A holds, L the ideal of the earlier forms,
+    and J = B + L·A after that; only an open verdict takes the exact pair
+    test."""
 
     def test_shortcut_ends_when_the_invariant_breaks(self, R22):
         """The ideal (x1, x2) has grade 1 w.r.t. P.  Every accepted form l
-        is a zerodivisor on S/(x1, x2), so the second step must use the
-        exact pair test; a shortcut kept on S/(l) would accept a second
-        form and report 2."""
+        is a zerodivisor on S/(x1, x2), so the second step must test on
+        the pair itself; a test kept on S/(l) would accept a second form
+        and report 2."""
         pair = IdealPair(Ideal(R22, (R22.x(1), R22.x(2))), Ideal.zero(R22))
         for seed in (0, 1, 2):
             assert grade_wrt(pair, P, seed).grade == 1
@@ -629,7 +633,7 @@ class TestCyclicFirst:
     def test_accepted_level_pair_steps_need_no_intersection(self, monkeypatch):
         """(x1, y1*y2, y3)/(x1, y3) in 3+3 is a level pair of
         (x3*y3^2, x1*y1*y2, y3) w.r.t. P, of grade and cd 2.  Every
-        accepted form passes the cyclic test, and the one rejected
+        accepted form passes the section test, and the one rejected
         candidate (at seed 1) has a product witness, so no step pays for
         the exact test's intersection at seeds 0, 1 and 2.  The exact-only
         search intersects on every step."""
@@ -657,28 +661,31 @@ class TestCyclicFirst:
 
     def test_witness_rejections_agree_with_exact_test(self, monkeypatch):
         """Random level pairs in 2+2, 3+3 and 4+4, blocks P, Q and m, over
-        QQ and GF(32003), seeds 0 and 1: every candidate rejected by a
-        product witness is a zerodivisor by the exact pair test, and every
-        candidate the cyclic test accepts is regular by it."""
+        QQ and GF(32003), seeds 0 and 1: every candidate rejected by the
+        section test is a zerodivisor by the exact pair test, and every
+        candidate it accepts is regular by it."""
         import seqcm.relcm as relcm
 
-        search, verdict = relcm._search_regular_form, relcm._shortcut_verdict
+        search, verdict = relcm._search_regular_form, relcm._section_verdict
         current = []
         outcomes = []
 
-        def searching(pair, block, rng, shortcut=None):
+        def searching(pair, block, rng, j):
             current.append(pair)
-            return search(pair, block, rng, shortcut)
+            try:
+                return search(pair, block, rng, j)
+            finally:
+                current.pop()
 
-        def deciding(b_l, a, ell):
-            got = verdict(b_l, a, ell)
-            if got is not None:
-                assert got == is_regular_form(current[-1], ell), (current[-1], ell)
+        def deciding(section, a, ell):
+            got = verdict(section, a, ell)
+            if current and got is not None:  # a candidate of the search
+                assert got == _exact_regular(current[-1], ell), (current[-1], ell)
                 outcomes.append(got)
             return got
 
         monkeypatch.setattr(relcm, "_search_regular_form", searching)
-        monkeypatch.setattr(relcm, "_shortcut_verdict", deciding)
+        monkeypatch.setattr(relcm, "_section_verdict", deciding)
         for field in (QQ, PrimeField(32003)):
             cases = random_level_cases(
                 [BigradedRing(k, k, field) for k in (2, 3, 4)], (6, 4, 2), 606
@@ -692,8 +699,8 @@ class TestCyclicFirst:
     def test_witness_needs_no_invariant(self):
         """Random monomial pairs A/(A ∩ C), blocks P and m: after a first
         form l1 that is regular on A/B but breaks the invariant (a
-        zerodivisor on S/A), every witness on S/(B + (l1)) still rejects
-        only zerodivisors of A/(B + l1·A)."""
+        zerodivisor on S/A), every rejection by the section of
+        B + (l1) is still a zerodivisor of A/(B + l1·A)."""
         rng = random.Random(9)
         witnesses = 0
         for _ in range(600):
@@ -707,9 +714,10 @@ class TestCyclicFirst:
             l1 = _draw_form(ring, indices, rng, 1)
             if not is_regular_form(pair, l1) or is_regular_form(IdealPair.cyclic(a), l1):
                 continue
+            section = _solve_linear(ring, b.gens + (l1,))
             for span in (1, 2, 3):
                 l2 = _draw_form(ring, indices, rng, span)
-                if _shortcut_verdict(b + Ideal(ring, [l1]), a, l2) is False:
+                if _section_verdict(section, a, l2) is False:
                     assert not is_regular_form(pair.mod_form(l1), l2), (pair, l1, l2)
                     witnesses += 1
         assert witnesses >= 20
@@ -718,8 +726,8 @@ class TestCyclicFirst:
         """A level pair of (x2*x3*y2, x2^2*y3) in 3+3 w.r.t. P: l = 2*x2 + x3
         is a zerodivisor on S/B, B = (x3, x2^2), and on A/B (x2*y2*y3 in A
         is killed), but no product x2·ā, x2 the cofactor of x2^2, leaves B.
-        The shortcut leaves the candidate to the exact pair test, and the
-        search still accepts the forms of the exact-only search."""
+        The section test leaves the candidate to the exact pair test, and
+        the search still accepts the forms of the exact-only search."""
         import seqcm.relcm as relcm
 
         ring = BigradedRing(3, 3)
@@ -729,20 +737,54 @@ class TestCyclicFirst:
         b = Ideal(ring, [ring.parse(t) for t in ("x3", "x2^2")])
         pair = IdealPair(a, b)
         ell = ring.parse("2*x2 + x3")
-        assert _shortcut_verdict(b, a, ell) is None
+        assert _section_verdict(_solve_linear(ring, b.gens), a, ell) is None
         assert not is_regular_form(pair, ell) and not slow_is_regular(pair, ell)
 
         verdicts = []
 
         def recording(*args):
-            verdicts.append(_shortcut_verdict(*args))
+            verdicts.append(_section_verdict(*args))
             return verdicts[-1]
 
-        monkeypatch.setattr(relcm, "_shortcut_verdict", recording)
+        monkeypatch.setattr(relcm, "_section_verdict", recording)
         for seed in range(6):
             got = grade_wrt(pair, P, seed).regular_sequence
             assert got == exact_grade_search(pair, P, seed)
         assert verdicts.count(None) >= 6
+
+    def test_one_section_per_step(self, monkeypatch):
+        """A step solves the linear generators of J once, however many of
+        its candidates fail: S/(y1*y2) and the pair (x1)/(x1*y1*y2) w.r.t.
+        Q, where y1 and y2 alone are zerodivisors."""
+        import seqcm.relcm as relcm
+
+        solves, verdicts = [], []
+
+        def solving(*args):
+            solves.append(1)
+            return _solve_linear(*args)
+
+        def recording(*args):
+            verdicts.append(_section_verdict(*args))
+            return verdicts[-1]
+
+        monkeypatch.setattr(relcm, "_solve_linear", solving)
+        monkeypatch.setattr(relcm, "_section_verdict", recording)
+        ring = BigradedRing(1, 2)
+        y1y2 = ring.parse("y1*y2")
+        pairs = (
+            IdealPair.cyclic(Ideal(ring, (y1y2,))),
+            IdealPair(Ideal(ring, (ring.x(1),)), Ideal(ring, (ring.x(1) * y1y2,))),
+        )
+        rejected = 0
+        for pair in pairs:
+            for seed in range(12):
+                solves.clear()
+                verdicts.clear()
+                assert _search_regular_form(pair, Q, random.Random(seed), pair.b)
+                assert solves == [1] and verdicts[-1] is True
+                rejected += verdicts.count(False)
+        assert rejected >= 4
 
 
 class TestCdSubquotient:
