@@ -21,9 +21,11 @@ and seed) and uses the exit codes
     5  the engine could not decide: the randomized regular-form search ran
        out of its retry budget (over a small prime field)
 
-``--verify`` replays each certificate level from the emitted document alone.
-Files are processed in sorted order, and a batch stops at the first file
-that fails: its code is returned and the later files are not read.
+``--verify`` checks the emitted document against the parsed input with
+:func:`seqcm.certificates.verify_certificate`, which owns the certificate's
+document format.  Files are processed in sorted order, and a batch stops at
+the first file that fails: its code is returned and the later files are not
+read.
 """
 
 from __future__ import annotations
@@ -35,13 +37,12 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .certificates import SeqCMVerdict
+from .certificates import _ideal_doc, _ring_doc, _verdict_doc, verify_certificate
 from .errors import (
     NoRegularFormError,
     NotBihomogeneousError,
     NotMonomialError,
     ParseError,
-    SeqcmError,
     UnitIdealError,
     UnsupportedIdealClassError,
     ZeroModuleError,
@@ -54,7 +55,7 @@ from .filtration import (
     monomial_primary_decomposition,
     tensor_split_check,
 )
-from .groebner import Ideal, krull_dim, saturation
+from .groebner import Ideal, krull_dim
 from .hypersurface import classify_hypersurface, hypersurface_stats
 from .poly import BigradedRing, parse_polynomial
 from .relcm import (
@@ -208,54 +209,6 @@ def parse_problem(text: str) -> ProblemFile:
 # ---- result documents --------------------------------------------------------------
 
 
-def _ideal_doc(ideal: Ideal) -> list:
-    return list(ideal.generator_strings())
-
-
-def _verify_doc(spec) -> dict:
-    if spec.kind == "cyclic":
-        return {"kind": "cyclic", "quotient": _ideal_doc(spec.quotient)}
-    if spec.kind == "pair":
-        return {
-            "kind": "pair",
-            "a": _ideal_doc(spec.pair_a),
-            "b": _ideal_doc(spec.pair_b),
-        }
-    return {"kind": "h0", "of": _ideal_doc(spec.h0_of)}
-
-
-def _filtration_doc(filtration) -> dict:
-    levels = []
-    for index, level in enumerate(filtration.levels, start=1):
-        entry = {
-            "level": index,
-            "ideal": _ideal_doc(level.ideal),
-            "cd": level.cd,
-            "grade": level.grade,
-            "relative_cm": level.relative_cm,
-            "regular_sequence": [str(p) for p in level.regular_sequence],
-            "verify": _verify_doc(level.verify),
-        }
-        if level.associated_primes is not None:
-            entry["associated_primes"] = [
-                _ideal_doc(p) for p in level.associated_primes
-            ]
-        levels.append(entry)
-    return {
-        "base": _ideal_doc(filtration.base),
-        "levels": levels,
-    }
-
-
-def _verdict_doc(verdict: SeqCMVerdict) -> dict:
-    return {
-        "decision": verdict.decision,
-        "route": verdict.route.value,
-        "offending_level": verdict.offending_level,
-        "filtration": _filtration_doc(verdict.filtration),
-    }
-
-
 def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> dict:
     """Execute one command against a parsed problem; returns the document."""
     ring = problem.ring
@@ -263,7 +216,7 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
     doc = {
         "command": command,
         "input_sha256": hashlib.sha256(problem.text.encode()).hexdigest(),
-        "ring": {"m": ring.m, "n": ring.n, "field": ring.field.name},
+        "ring": _ring_doc(ring),
         "generators": _ideal_doc(ideal),
         "block": block.value,
         "seed": seed,
@@ -377,83 +330,6 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
     return doc
 
 
-# ---- certificate re-verification ----------------------------------------------------
-
-
-def _ring_from_doc(doc) -> BigradedRing:
-    info = doc["ring"]
-    return BigradedRing(info["m"], info["n"], field_from_name(info["field"]))
-
-
-def _parse_ideal(ring, gens) -> Ideal:
-    return Ideal(ring, [parse_polynomial(ring, g) for g in gens])
-
-
-def verify_certificate(doc: dict) -> list:
-    """Recompute each certificate level from the document alone, and check
-    that the filtration starts at the input ideal and ends at (1).
-
-    Returns a list of human-readable disagreements (empty when everything
-    checks out).  Only documents carrying a verdict are verified.
-    """
-    if "verdict" not in doc or doc["verdict"] is None:
-        return []
-    ring = _ring_from_doc(doc)
-    block = VariableBlock.from_tag(doc["block"])
-    seed = doc["seed"]
-    problems = []
-    verdict = doc["verdict"]
-    levels = verdict["filtration"]["levels"]
-    # Equal generator strings are equal ideals; only other texts are parsed.
-    base_gens, input_gens = verdict["filtration"]["base"], doc["generators"]
-    if base_gens != input_gens and not _parse_ideal(ring, base_gens).equals(
-        _parse_ideal(ring, input_gens)
-    ):
-        problems.append("filtration base is not the input ideal")
-    if not levels or (
-        levels[-1]["ideal"] != ["1"]
-        and not _parse_ideal(ring, levels[-1]["ideal"]).is_unit_ideal()
-    ):
-        problems.append("last level ideal is not (1)")
-    cds = [level["cd"] for level in levels]
-    if any(c2 <= c1 for c1, c2 in zip(cds, cds[1:])):
-        problems.append(f"level cds {cds} not strictly increasing")
-    for level in levels:
-        spec = level["verify"]
-        tag = f"level {level['level']}"
-        try:
-            if spec["kind"] in ("cyclic", "pair"):
-                if spec["kind"] == "cyclic":
-                    pair = IdealPair.cyclic(_parse_ideal(ring, spec["quotient"]))
-                else:
-                    pair = IdealPair(
-                        _parse_ideal(ring, spec["a"]), _parse_ideal(ring, spec["b"])
-                    )
-                report = is_relative_cm(pair, block, seed)
-                got = (report.cd, report.grade, report.relative_cm)
-            elif spec["kind"] == "h0":
-                base = _parse_ideal(ring, spec["of"])
-                sat = saturation(base, block.ideal(ring))
-                stored = _parse_ideal(ring, level["ideal"])
-                if not (sat.contains_ideal(stored) and stored.contains_ideal(sat)):
-                    problems.append(f"{tag}: stored ideal is not the saturation")
-                    continue
-                got = (0, 0, True)
-            else:
-                problems.append(f"{tag}: unknown verify kind {spec['kind']!r}")
-                continue
-        except (SeqcmError, ValueError) as exc:
-            problems.append(f"{tag}: recheck raised {exc}")
-            continue
-        want = (level["cd"], level["grade"], level["relative_cm"])
-        if got != want:
-            problems.append(f"{tag}: recomputed {got}, document says {want}")
-    all_cm = all(level["relative_cm"] for level in levels)
-    if verdict["decision"] != (all_cm and verdict["offending_level"] is None):
-        problems.append("decision inconsistent with level records")
-    return problems
-
-
 # ---- rendering -----------------------------------------------------------------------
 
 
@@ -505,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="seed for randomized searches (default 0)")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--verify", action="store_true",
-                       help="re-check certificate levels from the emitted document")
+                       help="re-check the emitted certificate against the input")
     return parser
 
 
@@ -539,7 +415,7 @@ def main(argv=None) -> int:
             return 5
         sys.stdout.write(render_document(doc, args.format))
         if args.verify:
-            problems = verify_certificate(doc)
+            problems = verify_certificate(doc, problem.ideal)
             if problems:
                 for problem_line in problems:
                     print(f"{path}: verify: {problem_line}", file=sys.stderr)

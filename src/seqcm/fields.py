@@ -61,18 +61,32 @@ class ModP:
         return f"ModP({self.val}, {self.p})"
 
 
+# Miller-Rabin with the first 13 primes as bases decides primality for every
+# p below MAX_PRIME (Sorenson and Webster, Math. Comp. 86, 2017); larger p
+# are refused rather than guessed.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MAX_PRIME = 3_317_044_064_679_887_385_961_981
+
+
 def _is_prime(p: int) -> bool:
     if p < 2:
         return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    d = 3
-    while d * d <= p:
-        if p % d == 0:
+    for a in _WITNESSES:
+        if p % a == 0:
+            return p == a
+    d, s = p - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x == 1 or x == p - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 
@@ -104,11 +118,13 @@ class RationalField:
 
 @dataclass(frozen=True)
 class PrimeField:
-    """The residue field GF(p) for a prime p >= 2."""
+    """The residue field GF(p) for a prime 2 <= p < ``MAX_PRIME``."""
 
     p: int
 
     def __post_init__(self):
+        if self.p >= MAX_PRIME:
+            raise ValueError(f"GF(p) needs p < {MAX_PRIME}, the primality test's bound")
         if not _is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 

@@ -287,22 +287,8 @@ def _cd_le_1_verdict(I: Ideal, block: VariableBlock, seed: int) -> SeqCMVerdict:
         raise CertificateVerificationError(
             "saturation quotient is not Cohen-Macaulay of cd 1"
         )
-    torsion = FiltrationLevel(
-        ideal=sat,
-        cd=0,
-        grade=0,
-        relative_cm=True,
-        regular_sequence=(),
-        verify=VerifySpec.h0(I),
-    )
-    free_part = FiltrationLevel(
-        ideal=Ideal.unit(ring),
-        cd=1,
-        grade=1,
-        relative_cm=True,
-        regular_sequence=top_report.regular_sequence,
-        verify=VerifySpec.cyclic(sat),
-    )
+    torsion = FiltrationLevel(sat, CdGradeReport(0, 0, True, ()), VerifySpec.h0(I))
+    free_part = FiltrationLevel(Ideal.unit(ring), top_report, VerifySpec.cyclic(sat))
     filtration = CMFiltration(block=block, base=I, levels=(torsion, free_part))
     return SeqCMVerdict(decision=True, filtration=filtration, route=Route.CD_LE_1)
 
@@ -324,25 +310,16 @@ def _monomial_verdict(
         else:
             pair = IdealPair(d_ideal + e_ideal, e_ideal, _trusted=True)
             level_report = is_relative_cm(pair, block, _level_seed(seed, index))
-            if level_report.cd != piece.cd_value:
-                raise CertificateVerificationError(
-                    f"level cd {level_report.cd} disagrees with component cd "
-                    f"{piece.cd_value}"
-                )
-            verify = VerifySpec.pair(d_ideal + e_ideal, e_ideal)
+            verify = VerifySpec.pair(pair.a, pair.b)
+        if level_report.cd != piece.cd_value:
+            raise CertificateVerificationError(
+                f"level cd {level_report.cd} disagrees with component cd "
+                f"{piece.cd_value}"
+            )
         if not level_report.relative_cm and offending is None:
             offending = index + 1
-        levels.append(
-            FiltrationLevel(
-                ideal=d_ideal,
-                cd=piece.cd_value,
-                grade=level_report.grade,
-                relative_cm=level_report.relative_cm,
-                regular_sequence=level_report.regular_sequence,
-                verify=verify,
-                associated_primes=tuple(c.radical for c in piece.components),
-            )
-        )
+        primes = tuple(c.radical for c in piece.components)
+        levels.append(FiltrationLevel(d_ideal, level_report, verify, primes))
     decision = offending is None
     route = (
         Route.UNMIXED_SHORTCUT

@@ -5,8 +5,8 @@ y^beta, which is a matrix over the occurring x monomials and y monomials.
 S/fS is sequentially Cohen-Macaulay with respect to Q (equivalently P) iff f
 factors as h1(x) * h2(y), which happens exactly when that matrix has rank at
 most one; the split, when it exists, is read off a nonzero row and column
-and re-verified by exact expansion.  A returned None is backed by a
-fraction-free rank computation certifying rank >= 2.
+and re-verified by exact expansion.  A returned None is backed by an
+exact rank computation certifying rank >= 2.
 
 When a, b > 0 and f = h1*h2, the two-level chain (f) ⊂ (middle) ⊂ (1) is a
 Cohen-Macaulay filtration, and the cd formula fixes the middle factor: h1
@@ -42,7 +42,7 @@ from .errors import (
 )
 from .groebner import Ideal
 from .poly import BigradedRing, Polynomial
-from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
+from .relcm import CdGradeReport, IdealPair, VariableBlock, _rank, is_relative_cm
 
 
 @dataclass(frozen=True)
@@ -98,34 +98,9 @@ def coefficient_matrix(f: Polynomial) -> CoefficientMatrix:
 
 
 def exact_rank(entries, field) -> int:
-    """Rank by fraction-free (Bareiss) elimination; exact over any field."""
-    matrix = [list(row) for row in entries]
-    if not matrix or not matrix[0]:
-        return 0
-    nrows, ncols = len(matrix), len(matrix[0])
-    rank = 0
-    prev = field.one
-    row = 0
-    for col in range(ncols):
-        pivot = None
-        for r in range(row, nrows):
-            if matrix[r][col]:
-                pivot = r
-                break
-        if pivot is None:
-            continue
-        matrix[row], matrix[pivot] = matrix[pivot], matrix[row]
-        p = matrix[row][col]
-        for r in range(row + 1, nrows):
-            for c in range(col + 1, ncols):
-                matrix[r][c] = (p * matrix[r][c] - matrix[r][col] * matrix[row][c]) / prev
-            matrix[r][col] = field.zero
-        prev = p
-        rank += 1
-        row += 1
-        if row == nrows:
-            break
-    return rank
+    """Rank of a dense matrix by the sparse row elimination that also gives
+    the Koszul ranks (:func:`seqcm.relcm._rank`); exact over any field."""
+    return _rank([{j: c for j, c in enumerate(row) if c} for row in entries], field)
 
 
 @dataclass(frozen=True)
@@ -142,7 +117,7 @@ def rank_one_split(f: Polynomial):
 
     Built from the first nonzero entry in canonical order, verified by exact
     expansion, and normalized with h2 monic.  Returns None when no split
-    exists, in which case fraction-free elimination certifies rank >= 2.
+    exists, in which case :func:`exact_rank` certifies rank >= 2.
     """
     matrix = coefficient_matrix(f)
     ring = f.ring
@@ -237,27 +212,13 @@ def _two_level_certificate(
     increasing cd.
     """
     ring = f.ring
-    bottom = is_relative_cm(IdealPair.cyclic(Ideal(ring, (cofactor,))), block, seed)
-    top = is_relative_cm(IdealPair.cyclic(Ideal(ring, (middle,))), block, seed)
+    lower, upper = Ideal(ring, (cofactor,)), Ideal(ring, (middle,))
+    bottom = is_relative_cm(IdealPair.cyclic(lower), block, seed)
+    top = is_relative_cm(IdealPair.cyclic(upper), block, seed)
     if not (bottom.relative_cm and top.relative_cm and bottom.cd < top.cd):
         return None
-    middle_ideal = Ideal(ring, (middle,))
-    level1 = FiltrationLevel(
-        ideal=middle_ideal,
-        cd=bottom.cd,
-        grade=bottom.grade,
-        relative_cm=True,
-        regular_sequence=bottom.regular_sequence,
-        verify=VerifySpec.cyclic(Ideal(ring, (cofactor,))),
-    )
-    level2 = FiltrationLevel(
-        ideal=Ideal.unit(ring),
-        cd=top.cd,
-        grade=top.grade,
-        relative_cm=True,
-        regular_sequence=top.regular_sequence,
-        verify=VerifySpec.cyclic(middle_ideal),
-    )
+    level1 = FiltrationLevel(upper, bottom, VerifySpec.cyclic(lower))
+    level2 = FiltrationLevel(Ideal.unit(ring), top, VerifySpec.cyclic(upper))
     return CMFiltration(block=block, base=Ideal(ring, (f,)), levels=(level1, level2))
 
 

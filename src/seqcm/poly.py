@@ -32,6 +32,10 @@ from .fields import QQ, RationalField
 from .orders import MonomialOrder
 
 Monomial = tuple  # exponent tuple, one nonnegative int per ring variable
+# Parentheses nest at most this deep in parsed text: each level takes four
+# frames of the recursive-descent parser, so deeper input would exhaust the
+# interpreter's recursion limit instead of raising a ParseError.
+MAX_NESTING = 100
 
 
 # The four hot helpers map C-level operators over the tuples: on 8-variable
@@ -503,6 +507,7 @@ def parse_polynomial(
 ) -> Polynomial:
     """Parse the textual polynomial syntax; raises :class:`ParseError` with position."""
     tz = _Tokenizer(text, line, column)
+    depth = 0  # parentheses open around the current atom
 
     def parse_expr() -> Polynomial:
         kind, val, _, _ = tz.peek()
@@ -544,6 +549,7 @@ def parse_polynomial(
         return base
 
     def parse_atom() -> Polynomial:
+        nonlocal depth
         kind, val, ln, col = tz.next()
         if kind == "int":
             num = int(val)
@@ -570,8 +576,12 @@ def parse_polynomial(
                 )
             return ring.gen(idx)
         if kind == "op" and val == "(":
+            if depth == MAX_NESTING:
+                raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", ln, col)
+            depth += 1
             inner = parse_expr()
             tz.expect_op(")")
+            depth -= 1
             return inner
         raise ParseError(f"expected a coefficient, variable, or '(', found {val!r}", ln, col)
 

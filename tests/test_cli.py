@@ -115,6 +115,24 @@ class TestExitCodes:
         assert err.count("\n") == 1
         assert "not invertible in GF(5) (line 2, column 9)" in err
 
+    def test_deep_nesting_is_three(self, tmp_path, capsys):
+        """300 nested parentheses are a parse error at the first '(' past
+        the bound, not a RecursionError."""
+        text = "ring m=1 n=1 field=QQ\nideal " + "(" * 300 + "x1" + ")" * 300 + "\n"
+        path = write_problem(tmp_path, text)
+        code, out, err = run_cli(capsys, "seqcm", path)
+        assert code == 3 and out == ""
+        assert err.count("\n") == 1
+        assert "nested deeper than 100 (line 2, column 107)" in err
+
+    def test_prime_beyond_the_test_bound_is_three(self, tmp_path, capsys):
+        path = write_problem(
+            tmp_path, "ring m=1 n=1 field=GF(3317044064679887385961981)\nideal x1*y1\n"
+        )
+        code, out, err = run_cli(capsys, "seqcm", path)
+        assert code == 3 and out == ""
+        assert "needs p < 3317044064679887385961981" in err
+
     def test_primdec_requires_monomial(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1*y1 + x2*y2\n")
         code, _, err = run_cli(capsys, "primdec", path)
@@ -154,7 +172,7 @@ class TestExitCodes:
 
     def test_failed_verify_is_four(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            "seqcm.cli.verify_certificate", lambda doc: ["level 1: forged"]
+            "seqcm.cli.verify_certificate", lambda doc, ideal: ["level 1: forged"]
         )
         first = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1*y1\n", "a.ring")
         second = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1\n", "b.ring")
@@ -258,6 +276,21 @@ class TestCommands:
         assert code == 2
 
 
+def verify_tampered(capsys, monkeypatch, path, tamper, *argv):
+    """(exit code, stderr) of ``seqcm seqcm PATH --verify`` with the document
+    changed by ``tamper`` between the run and its check."""
+    import seqcm.cli as cli
+
+    def tampered_run(*args):
+        doc = run(*args)
+        tamper(doc)
+        return doc
+
+    monkeypatch.setattr(cli, "run", tampered_run)
+    code, _, err = run_cli(capsys, "seqcm", path, "--verify", *argv)
+    return code, err
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "text,block",
@@ -278,7 +311,7 @@ class TestVerify:
         problem = parse_problem("ring m=2 n=2 field=QQ\nideal x1*y1\n")
         doc = run("seqcm", problem, VariableBlock.Q, 0)
         doc["verdict"]["filtration"]["levels"][0]["grade"] = 99
-        problems = verify_certificate(doc)
+        problems = verify_certificate(doc, problem.ideal)
         assert problems
 
     @pytest.mark.parametrize(
@@ -301,18 +334,54 @@ class TestVerify:
         """The two_planes certificate with its base or its last level ideal
         replaced by (x1): every level still rechecks, but the filtration no
         longer runs from the input ideal to (1)."""
-        import seqcm.cli as cli
-
-        def tampered_run(*args):
-            doc = run(*args)
-            tamper(doc["verdict"]["filtration"])
-            return doc
-
-        monkeypatch.setattr(cli, "run", tampered_run)
         path = str(CORPUS / "two_planes.ring")
-        code, _, err = run_cli(capsys, "seqcm", path, "--verify")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: tamper(doc["verdict"]["filtration"])
+        )
         assert code == 4
         assert err == f"{path}: verify: {message}\n"
+
+    @pytest.mark.parametrize("block", ["P", "Q"])
+    def test_tampered_pair_level_is_four(self, capsys, monkeypatch, block):
+        """split_monomial's first pair level with ``a`` replaced by (1): the
+        recomputed cd and grade still match, but a is no longer the level
+        ideal + b.  The same change on the second level, whose a is (1) +
+        (b) = (1) already, keeps the meaning and passes."""
+        path = str(CORPUS / "split_monomial.ring")
+
+        def on_level(index):
+            return lambda doc: doc["verdict"]["filtration"]["levels"][index][
+                "verify"
+            ].update(a=["1"])
+
+        code, err = verify_tampered(capsys, monkeypatch, path, on_level(0), "--wrt", block)
+        assert code == 4
+        assert err == f"{path}: verify: level 1: pair a is not the level ideal + b\n"
+        code, err = verify_tampered(capsys, monkeypatch, path, on_level(1), "--wrt", block)
+        assert code == 0 and err == ""
+
+    @pytest.mark.parametrize("name", ["two_planes", "split_monomial", "quadric_rank2"])
+    def test_forged_input_is_four(self, capsys, monkeypatch, name):
+        """``generators`` and ``base`` both replaced by (x1): the document
+        agrees with itself but not with the file it claims to certify."""
+
+        def forge(doc):
+            doc["generators"] = doc["verdict"]["filtration"]["base"] = ["x1"]
+
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(capsys, monkeypatch, path, forge)
+        assert code == 4
+        assert err.startswith(f"{path}: verify: generators are not the input ideal\n")
+
+    def test_forged_ring_is_four(self, capsys, monkeypatch):
+        """The levels are rechecked in the input's ring, so a document that
+        names another field does not certify the file."""
+        path = str(CORPUS / "two_planes.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: doc["ring"].update(field="GF(2)")
+        )
+        assert code == 4
+        assert err == f"{path}: verify: ring is not the input ring\n"
 
     def test_base_is_compared_as_an_ideal(self):
         """A base written with other generators of the same ideal passes."""
@@ -320,7 +389,7 @@ class TestVerify:
         doc = run("seqcm", problem, VariableBlock.Q, 0)
         filtration = doc["verdict"]["filtration"]
         filtration["base"] = filtration["base"][::-1] + ["x1*x2*y1"]
-        assert verify_certificate(doc) == []
+        assert verify_certificate(doc, problem.ideal) == []
 
 
 class TestCorpus:

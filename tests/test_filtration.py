@@ -322,7 +322,7 @@ class TestLevelGradeSearch:
                     for index, level in enumerate(verdict.filtration.levels):
                         if level.verify.kind != "pair":
                             continue
-                        pair = IdealPair(level.verify.pair_a, level.verify.pair_b)
+                        pair = IdealPair(*level.verify.ideals)
                         full = grade_wrt(pair, block, _level_seed(seed, index))
                         assert level.grade == full.grade
                         assert level.regular_sequence == full.regular_sequence

@@ -1,4 +1,5 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -10,8 +11,9 @@ from seqcm.errors import (
     ZeroPolynomialError,
 )
 from helpers import ref_mono_div, ref_mono_divides, ref_mono_lcm, ref_mono_mul
-from seqcm.fields import PrimeField
+from seqcm.fields import MAX_PRIME, PrimeField, _is_prime, field_from_name
 from seqcm.poly import (
+    MAX_NESTING,
     BiDegree,
     BigradedRing,
     Polynomial,
@@ -165,6 +167,14 @@ class TestTextSyntax:
     def test_zero_literal(self, R22):
         assert R22.parse("0").is_zero()
 
+    def test_nesting_depth_is_bounded(self, R22):
+        assert R22.parse("(" * 20 + "x1*y1" + ")" * 20) == R22.parse("x1*y1")
+        deepest = "(" * MAX_NESTING + "x1" + ")" * MAX_NESTING
+        assert R22.parse(deepest) == R22.parse("x1")
+        with pytest.raises(ParseError, match="nested deeper") as err:
+            R22.parse("(" * 300 + "x1" + ")" * 300)
+        assert err.value.column == MAX_NESTING + 1
+
 
 class TestPrimeField:
     def test_arithmetic_matches_rationals_mod_p(self):
@@ -182,6 +192,31 @@ class TestPrimeField:
     def test_rejects_composite_modulus(self):
         with pytest.raises(ValueError):
             PrimeField(65536)
+
+    def test_primality_matches_trial_division(self):
+        def trial(p):
+            return p >= 2 and all(p % d for d in range(2, int(p**0.5) + 1))
+
+        assert [p for p in range(5000) if _is_prime(p)] == [
+            p for p in range(5000) if trial(p)
+        ]
+
+    def test_large_prime_parses_fast(self):
+        start = time.perf_counter()
+        field = field_from_name("GF(1000000000000000003)")
+        assert time.perf_counter() - start < 0.1
+        assert field.name == "GF(1000000000000000003)"
+
+    @pytest.mark.parametrize("n", [561, 3215031751])
+    def test_rejects_pseudoprimes(self, n):
+        """561 is a Carmichael number; 3215031751 = 151*751*28351 is a
+        strong pseudoprime to the bases 2, 3, 5 and 7."""
+        with pytest.raises(ValueError, match="not prime"):
+            PrimeField(n)
+
+    def test_refuses_primes_beyond_the_bound(self):
+        with pytest.raises(ValueError, match=str(MAX_PRIME)):
+            PrimeField(MAX_PRIME)
 
 
     def test_denominator_divisible_by_p_is_a_parse_error(self):
