@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 
 from .errors import CertificateVerificationError, SeqcmError
-from .groebner import Ideal, saturation
+from .groebner import Ideal, intersect, saturation
 from .poly import parse_polynomial
 from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
 
@@ -184,23 +184,43 @@ def _verdict_doc(verdict: SeqCMVerdict) -> dict:
 # ---- re-verification -----------------------------------------------------------------
 
 
-def _level_problem(spec: VerifySpec, level_ideal: Ideal | None, want, block, seed):
-    """What is wrong with a level whose verify record is ``spec`` and whose
-    document says (cd, grade, relative_cm) = ``want``; None if nothing."""
+def _level_problem(spec: VerifySpec, d_i: Ideal, below: Ideal, want, block, seed):
+    """What is wrong with the level D_i = ``d_i`` over D_{i-1} = ``below``
+    whose verify record is ``spec`` and whose document says (cd, grade,
+    relative_cm) = ``want``; None if nothing.
+
+    The record must present D_i/D_{i-1}.  A pair a/b does when a = D_i + b
+    and D_i ∩ b = D_{i-1}; a cyclic S/q when q = D_{i-1} and D_i = (1), or
+    D_{i-1} = f·q and D_i = (f), since f is a nonzerodivisor; an H^0 record
+    when it is of D_{i-1}.  The invariants are then recomputed from the
+    record alone, an H^0 level's by the saturation identity.  A level equal
+    to the one below is a zero module, which the recomputation rejects; for
+    H^0 that means an ``of`` that is already saturated.
+    """
+    first = spec.ideals[0]
+    if spec.kind == "pair":
+        a, b = spec.ideals
+        if not a.equals(d_i + b):
+            return "pair a is not the level ideal + b"
+        what, presented = "ideal ∩ b", intersect(d_i, b)
+    elif spec.kind == "h0" or d_i.is_unit_ideal():
+        what, presented = VERIFY_FIELDS[spec.kind][0], first
+    elif len(d_i.gens) == 1:
+        what, presented = "ideal·quotient", first.scaled_by(d_i.gens[0])
+    else:
+        return "cyclic level ideal is neither (1) nor principal"
+    if not presented.equals(below):
+        return f"{what} is not the level below"
     if spec.kind == "h0":
-        (of,) = spec.ideals
-        if not saturation(of, block.ideal(of.ring)).equals(level_ideal):
+        sat = saturation(first, block.ideal(d_i.ring))
+        if sat is first:  # the first colon round added nothing
+            return "h0 quotient is zero: of is saturated"
+        if not sat.equals(d_i):
             return "stored ideal is not the saturation"
         got = (0, 0, True)
     else:
-        if spec.kind == "pair":
-            a, b = spec.ideals
-            if not a.equals(level_ideal + b):
-                return "pair a is not the level ideal + b"
-            pair = IdealPair(a, b)
-        else:
-            pair = IdealPair.cyclic(spec.ideals[0])
-        report = is_relative_cm(pair, block, seed)
+        module = IdealPair if spec.kind == "pair" else IdealPair.cyclic
+        report = is_relative_cm(module(*spec.ideals), block, seed)
         got = (report.cd, report.grade, report.relative_cm)
     return None if got == want else f"recomputed {got}, document says {want}"
 
@@ -210,14 +230,16 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
 
     ``ring`` and ``generators`` must be the input's, and the filtration must
     start at the input ideal and end at (1) with strictly increasing level
-    cds.  Each level is recomputed from its verify record alone (pair levels
-    also check a = ideal + b, torsion levels the saturation identity).
+    cds.  Each level's verify record must present the level over the one
+    below it, the chain taken to run from the input ideal to (1), and the
+    level is recomputed from that record alone (:func:`_level_problem`).
     Ideals are compared as ideals, not as texts.  Each distinct ideal of the
-    document is parsed at most once per call, and one written as
-    ``generators`` is taken to be ``ideal`` once that check passes.
+    document is parsed at most once per call, and the input's own generator
+    strings are taken to be ``ideal``.
 
     Returns a list of human-readable disagreements (empty when everything
-    checks out).  Only documents carrying a verdict are verified.
+    checks out), an ideal that does not parse among them.  Only documents
+    carrying a verdict are verified.
     """
     verdict = doc.get("verdict")
     if verdict is None:
@@ -225,7 +247,7 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     ring = ideal.ring
     block = VariableBlock.from_tag(doc["block"])
     seed = doc["seed"]
-    parsed = {}
+    parsed = {ideal.generator_strings(): ideal}
 
     def parse(gens) -> Ideal:
         key = tuple(gens)
@@ -234,24 +256,24 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
         return parsed[key]
 
     problems = [] if doc["ring"] == _ring_doc(ring) else ["ring is not the input ring"]
-    generators = tuple(doc["generators"])
-    if generators == ideal.generator_strings() or parse(generators).equals(ideal):
-        parsed[generators] = ideal
-    else:
-        problems.append("generators are not the input ideal")
     filtration = verdict["filtration"]
-    base = parse(filtration["base"])
-    if base is not ideal and not base.equals(ideal):
-        problems.append("filtration base is not the input ideal")
     levels = filtration["levels"]
-    if not levels or (
-        levels[-1]["ideal"] != ["1"] and not parse(levels[-1]["ideal"]).is_unit_ideal()
+    last = levels[-1]["ideal"] if levels else ()
+    for name, gens, holds, claim in (
+        ("generators", doc["generators"], ideal.equals, "are not the input ideal"),
+        ("filtration base", filtration["base"], ideal.equals, "is not the input ideal"),
+        ("last level ideal", last, Ideal.is_unit_ideal, "is not (1)"),
     ):
-        problems.append("last level ideal is not (1)")
+        try:
+            if not holds(parse(gens)):
+                problems.append(f"{name} {claim}")
+        except SeqcmError as exc:
+            problems.append(f"cannot parse {name}: {exc}")
     cds = [level["cd"] for level in levels]
     if any(c2 <= c1 for c1, c2 in zip(cds, cds[1:])):
         problems.append(f"level cds {cds} not strictly increasing")
-    for level in levels:
+    ends = {0: ideal, len(levels): Ideal.unit(ring)}  # D_0 and D_n, checked above
+    for index, level in enumerate(levels, start=1):
         record = level["verify"]
         tag = f"level {level['level']}"
         names = VERIFY_FIELDS.get(record["kind"])
@@ -261,8 +283,9 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
         want = (level["cd"], level["grade"], level["relative_cm"])
         try:
             spec = VerifySpec(record["kind"], tuple(parse(record[n]) for n in names))
-            stored = None if spec.kind == "cyclic" else parse(level["ideal"])
-            problem = _level_problem(spec, stored, want, block, seed)
+            d_i = ends.get(index) or parse(level["ideal"])
+            below = ends.get(index - 1) or parse(levels[index - 2]["ideal"])
+            problem = _level_problem(spec, d_i, below, want, block, seed)
         except (SeqcmError, ValueError) as exc:
             problem = f"recheck raised {exc}"
         if problem is not None:

@@ -405,6 +405,8 @@ class Ideal:
         return all(self.contains(g) for g in other.gens)
 
     def equals(self, other: "Ideal") -> bool:
+        if self is other:
+            return True
         if self.ring != other.ring:
             return False
         if self.is_monomial_ideal() and other.is_monomial_ideal():
@@ -483,32 +485,31 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
     return _eliminate_first_aux(ext, gens, ring)
 
 
-def colon_by_variable(I: Ideal, var_index: int) -> Ideal:
-    """(I : v) for a single variable v, assuming I is homogeneous.
-
-    With v rotated to the smallest grevlex position, the initial ideal of a
-    homogeneous ideal satisfies in(I : v) = in(I) : v, and every basis
-    element whose lead is divisible by v is divisible by v outright; dividing
-    those gives a basis of the colon.
-    """
-    ring = I.ring
-    order = MonomialOrder.variable_last(var_index, ring.nvars)
-    keyfn = order.sort_key(ring.nvars)
+def _colon_basis(basis, var_index: int, keyfn) -> list:
+    """A basis of (I : v) read off the basis of the homogeneous ideal I
+    under a grevlex order ``keyfn`` with v last: in(I : v) = in(I) : v, and
+    every basis element whose lead v divides is divisible by v outright, so
+    those elements divided by v and the others as they are."""
     out = []
-    for g in I.groebner_basis(order):
-        lm = g.leading_monomial(keyfn)
-        if lm[var_index] > 0:
+    for g in basis:
+        lead = g.leading_monomial(keyfn)
+        if lead[var_index]:
             if any(e[var_index] == 0 for e in g.terms):
                 raise ValueError("colon_by_variable needs a homogeneous ideal")
-            shift = tuple(-1 if i == var_index else 0 for i in range(ring.nvars))
-            out.append(
-                Polynomial._raw(
-                    ring, {mono_mul(e, shift): c for e, c in g.terms.items()}
-                )
-            )
-        else:
-            out.append(g)
-    return Ideal(ring, out)
+            v = tuple(int(i == var_index) for i in range(len(lead)))
+            g = Polynomial._raw(g.ring, {mono_div(e, v): c for e, c in g.terms.items()})
+        out.append(g)
+    return out
+
+
+def colon_by_variable(I: Ideal, var_index: int) -> Ideal:
+    """(I : v) for a single variable v, assuming I is homogeneous: the
+    basis with v rotated to the smallest grevlex position, read by
+    :func:`_colon_basis`."""
+    ring = I.ring
+    order = MonomialOrder.variable_last(var_index, ring.nvars)
+    basis = I.groebner_basis(order)
+    return Ideal(ring, _colon_basis(basis, var_index, order.sort_key(ring.nvars)))
 
 
 def _as_variable_index(f: Polynomial) -> int | None:
@@ -560,7 +561,8 @@ def _colon_ideal(I: Ideal, J: Ideal) -> Ideal:
 
 
 def saturation(I: Ideal, J: Ideal) -> Ideal:
-    """(I : J^infinity): colon rounds I <- (I : J) until one adds nothing."""
+    """(I : J^infinity): colon rounds I <- (I : J) until one adds nothing.
+    A saturated I is returned itself, the same object."""
     if J.is_zero_ideal():
         raise ZeroPolynomialError("saturation by the zero ideal")
     current = I

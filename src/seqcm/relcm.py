@@ -51,24 +51,31 @@ H^0 = 0 and the regularity of a form l are one colon condition,
 (B : J) ∩ A ⊆ B for J the block ideal or (l).  H^0 takes one colon round of
 :mod:`seqcm.groebner` by the block generators.
 
-Whether l is regular on a module A/B' is decided by one section test.
+Whether l is regular on a nonzero module A/B' is decided by one section
+test on an ideal J with A ∩ J = B', which makes it exact: l is regular on
+A/B' iff (J : l) ∩ A ⊆ J.  For x in A with l·x in J, l·x lies in
+A ∩ J = B'; so a regular l puts x in B' ⊆ J, and conversely an x in A with
+l·x in B' ⊆ J lies in (J : l) ∩ A ⊆ J, hence in A ∩ J = B'.
 The section of a homogeneous ideal J is its linear generators solved, each
 for its largest-index variable, and substituted into its other generators,
 so that S/J = R/J̄ for the polynomial ring R on the variables left.  The
-substitutions send l to l̄, and a linear change of coordinates sends l̄ to
-its pivot v, its largest-index variable.  With v last in grevlex (which on
-S restricts to grevlex on R), l is regular on S/J iff no lead of the basis
-G of J̄ involves v (Bayer-Stillman).  The verdict is
-  True   when l is regular on S/J;
-  False  when l̄ = 0, or when a product (g/v)·ā, for g in G with v dividing
-         its lead (then v divides all of g) and ā a transformed generator
-         of A, is nonzero modulo G: it pulls back to x in A outside J with
-         l·x in J·A;
-  None   otherwise, and only None pays for the exact test
-         (B' : l) ∩ A ⊆ B', a colon and an elimination intersect.
-False is sound when J·A ⊆ B' ⊆ J (l̄ = 0 puts l·A in J·A), and True when
-A ∩ J = B'.  Two choices of J meet both:
-  J = B' = B, in :func:`is_regular_form`, because A/B is a submodule of S/B;
+section map S -> R has its kernel in J, so it sends (J : l) ∩ A onto
+(J̄ : l̄) ∩ Ā, and an element lies in J iff its image lies in J̄.  A linear
+change of coordinates then sends l̄ to its pivot v, its largest-index
+variable.  With v last in grevlex (which on S restricts to grevlex on R),
+the reduced basis G of J̄ decides (Bayer-Stillman):
+  True   when no lead of G involves v: then (J̄ : v) = J̄;
+  False  when l̄ = 0 (then (J : l) ∩ A = A, which is not in J as A/B' ≠ 0);
+         or when some lead of G involves v and A = (1): v divides such a g
+         outright, and g/v lies in (J̄ : v) outside J̄, G being reduced; or
+         when a product (g/v)·ā, for such g and ā a transformed generator
+         of A, is nonzero modulo G, an element of (J̄ : v) ∩ Ā outside J̄;
+  and otherwise the exact finish: (J̄ : v) is read off G, as g/v for the g
+         whose lead v divides and g for the others (the rule that
+         :func:`seqcm.groebner.colon_by_variable` applies too), intersected
+         with Ā, and each generator of the intersection reduced modulo G.
+Two choices of J meet A ∩ J = B':
+  J = B' = B, in :func:`is_regular_form`, because B ⊆ A;
   J = B + L in a step of :func:`grade_wrt`, for L the ideal of the forms
          accepted so far and B' = B + L·A, while the invariant
          A ∩ (B + L) = B + L·A holds.  It holds for L = 0, and for A = (1)
@@ -76,10 +83,11 @@ A ∩ J = B'.  Two choices of J meet both:
          for x = b + y + l·s in A with b in B and y in L, s lies in A + L,
          say s = a' + y', and x - l·a' lies in A ∩ (B + L).
 A non-cyclic search tests the invariant before each further step, and once
-it fails takes J = B' itself.  The section of J is computed once per step,
-for all of its candidates.  The P, Q and m blocks share this coordinate
-path: a drawn form's pivot is its block's last variable.  The test suite
-keeps the elimination route of the colon as the reference for both tests.
+it fails takes J = B' itself.  B + L·A is built only then and for the
+step's H^0 decision.  The section of J is computed once per step, for all
+of its candidates.  The P, Q and m blocks share this coordinate path: a
+drawn form's pivot is its block's last variable.  The test suite keeps the
+elimination route of the colon as the reference for both tests.
 """
 
 from __future__ import annotations
@@ -97,15 +105,15 @@ from .errors import (
 )
 from .groebner import (
     Ideal,
+    _colon_basis,
     _colon_ideal,
     _minimal_monomials,
-    colon_by_variable,
     intersect,
     krull_dim,
     normal_form,
 )
 from .orders import MonomialOrder
-from .poly import BigradedRing, Polynomial, mono_div, mono_divides, mono_lcm
+from .poly import BigradedRing, Polynomial, mono_divides, mono_lcm
 
 RETRY_BUDGET = 32
 _EXACT_H0_AFTER = 1  # decide H^0 exactly once two candidates have failed
@@ -174,9 +182,12 @@ class IdealPair:
     def is_zero_module(self) -> bool:
         return self.b.contains_ideal(self.a)
 
-    def mod_form(self, ell: Polynomial) -> "IdealPair":
-        """The pair for (A/B)/(l·(A/B)) = A/(B + l·A)."""
-        return IdealPair(self.a, self.b + self.a.scaled_by(ell), _trusted=True)
+    def mod_form(self, *forms: Polynomial) -> "IdealPair":
+        """The pair for (A/B)/(L·(A/B)) = A/(B + L·A), L the ideal of the
+        forms: B's generators, then l·a over the generators a of A for each
+        form l in turn (the generator order keys the basis memo)."""
+        gens = self.b.gens + tuple(ell * g for ell in forms for g in self.a.gens)
+        return IdealPair(self.a, Ideal(self.ring, gens), _trusted=True)
 
     def is_graded_for(self, block: "VariableBlock") -> bool:
         """Whether A/B is bigraded (for P and Q) or graded (for m), which is
@@ -472,12 +483,11 @@ def _substitute(f: Polynomial, subs) -> Polynomial:
     return f
 
 
-def _section_verdict(section, a: Ideal, ell: Polynomial):
+def _section_verdict(section, a: Ideal, ell: Polynomial) -> bool:
     """The section test of the module docstring for l on the nonzero module
-    A/B', given the section (subs, rest) of J: True or False when it decides
-    l, None when it leaves l to the exact test.  For A = (1) a failed lead
-    test is a witness on its own: g/v has its lead outside in(J̄), since G
-    is reduced."""
+    A/B', given the section (subs, rest) of J with A ∩ J = B': whether l is
+    regular.  Only a candidate that the lead test, A = (1) and the product
+    witness leave open pays for the exact finish's intersection."""
     subs, rest = section
     ell = _substitute(ell, subs)
     if not ell:
@@ -488,46 +498,31 @@ def _section_verdict(section, a: Ideal, ell: Polynomial):
     order = MonomialOrder.variable_last(pivot, ring.nvars)
     keyfn = order.sort_key(ring.nvars)
     basis = Ideal(ring, [_substitute(g, to_pivot) for g in rest]).groebner_basis(order)
-    v = next(iter(ring.gen(pivot).terms))
-    cofactors = [  # g/v for the g in G whose lead v divides
-        Polynomial._raw(ring, {mono_div(e, v): k for e, k in g.terms.items()})
-        for g in basis
-        if g.leading_monomial(keyfn)[pivot]
-    ]
+    colon = _colon_basis(basis, pivot, keyfn)  # (J̄ : v)
+    cofactors = [c for c, g in zip(colon, basis) if c is not g]
     if not cofactors:
         return True
     if a.is_unit_ideal():
         return False
-    a_t = [_substitute(g, subs + to_pivot) for g in a.gens]
-    if any(normal_form(c * x, basis, order) for c in cofactors for x in a_t):
+    a_t = Ideal(ring, [_substitute(g, subs + to_pivot) for g in a.gens])
+    if any(normal_form(c * x, basis, order) for c in cofactors for x in a_t.gens):
         return False
-    return None
-
-
-def _exact_regular(pair: IdealPair, ell: Polynomial) -> bool:
-    """(B : l) ∩ A ⊆ B, by a colon and an elimination intersect in the
-    coordinates that send l to its pivot."""
-    ring = pair.ring
-    pivot = max(exps.index(1) for exps in ell.terms)
-    repl = _pivot_substitution(ring, ell, pivot)
-    b_t = Ideal(ring, [g.substitute_variable(pivot, repl) for g in pair.b.gens])
-    quotient = colon_by_variable(b_t, pivot)
-    a_t = Ideal(ring, [g.substitute_variable(pivot, repl) for g in pair.a.gens])
-    return b_t.contains_ideal(intersect(quotient, a_t))
+    return not any(
+        normal_form(g, basis, order) for g in intersect(Ideal(ring, colon), a_t).gens
+    )
 
 
 def is_regular_form(pair: IdealPair, ell: Polynomial) -> bool:
     """Exact test that the linear form l is a nonzerodivisor on the nonzero
     module A/B, for homogeneous B: the section test of the module docstring
-    with J = B' = B, and the exact test (B : l) ∩ A ⊆ B when it leaves l
-    open.  Raises ``ValueError`` unless l is linear and B homogeneous.
+    with J = B' = B.  Raises ``ValueError`` unless l is linear and B
+    homogeneous.
     """
     if not ell:
         return False
     if any(sum(e) != 1 for e in ell.terms) or not pair.b.is_homogeneous():
         raise ValueError("the regularity test needs a linear form and a homogeneous B")
-    verdict = _section_verdict(_solve_linear(pair.ring, pair.b.gens), pair.a, ell)
-    return _exact_regular(pair, ell) if verdict is None else verdict
+    return _section_verdict(_solve_linear(pair.ring, pair.b.gens), pair.a, ell)
 
 
 def _draw_form(ring, indices, rng, span):
@@ -554,7 +549,7 @@ def find_regular_linear_form(
     :class:`NotBihomogeneousError` unless A/B is bigraded (graded for m).
     """
     _require_graded(pair, block)
-    ell = _search_regular_form(pair, block, random.Random(seed), pair.b)
+    ell = _search_regular_form(pair, block, random.Random(seed))
     if ell is None:
         raise NoRegularFormError(
             "H^0 of the module is nonzero, so no linear form is regular on it"
@@ -562,30 +557,30 @@ def find_regular_linear_form(
     return ell
 
 
-def _search_regular_form(pair, block, rng, j):
-    """Regular form for one grade step, or None once H^0 != 0 is proven.
+def _search_regular_form(pair, block, rng, sequence=(), invariant=True):
+    """Regular form on A/(B + L·A), L the ideal of the forms of
+    ``sequence``, for one grade step, or None once H^0 != 0 is proven.
 
-    Each candidate takes the section test against J (computed once for the
-    step; see the module docstring), and the exact test only when that
-    leaves it open.  H^0 is decided exactly once ``_EXACT_H0_AFTER + 1``
-    candidates have failed, keeping the grade value seed independent; a
-    regular form drawn before that proves H^0 = 0 on its own.  The callers
-    check that the pair is graded.
+    Each candidate takes the section test against J, computed once for the
+    step (see the module docstring): J = B + L while ``invariant`` says that
+    A ∩ (B + L) = B + L·A, and J = B + L·A after.  H^0 is decided exactly
+    once ``_EXACT_H0_AFTER + 1`` candidates have failed, keeping the grade
+    value seed independent; a regular form drawn before that proves H^0 = 0
+    on its own.  The callers check that the pair is graded.
     """
     ring = pair.ring
     indices = block.variable_indices(ring)
     if not indices:
         return None  # zero block: H^0 is the whole (nonzero) module
-    section = _solve_linear(ring, j.gens)
+    step = None if invariant else pair.mod_form(*sequence)
+    section = _solve_linear(ring, step.b.gens if step else (*pair.b.gens, *sequence))
     for attempt in range(RETRY_BUDGET):
         ell = _draw_form(ring, indices, rng, 1 + attempt)
-        verdict = _section_verdict(section, pair.a, ell)
-        if verdict is None:
-            verdict = _exact_regular(pair, ell)
-        if verdict:
+        if _section_verdict(section, pair.a, ell):
             return ell
-        if attempt == _EXACT_H0_AFTER and not h0_is_zero(pair, block):
-            return None
+        if attempt == _EXACT_H0_AFTER:
+            if not h0_is_zero(step or pair.mod_form(*sequence), block):
+                return None
     raise NoRegularFormError(
         "regular linear forms exist but none was found within the retry "
         "budget; rerun over the rationals or a larger prime field"
@@ -618,7 +613,6 @@ def grade_wrt(
         raise ZeroModuleError("grade of the zero module is undefined")
     ring = pair.ring
     rng = random.Random(seed)
-    current = pair
     sequence = []
     bound = len(block.variable_indices(ring))
     invariant = True  # A ∩ (B + L) = B + L·A, always true for A = (1)
@@ -626,12 +620,10 @@ def grade_wrt(
         if invariant and sequence and not pair.is_cyclic():  # kept by the last form?
             earlier = Ideal(ring, sequence[:-1])
             invariant = is_regular_form(IdealPair.cyclic(pair.a + earlier), sequence[-1])
-        j = pair.b + Ideal(ring, sequence) if invariant else current.b
-        ell = _search_regular_form(current, block, rng, j)
+        ell = _search_regular_form(pair, block, rng, sequence, invariant)
         if ell is None:
             break
         sequence.append(ell)
-        current = current.mod_form(ell)
         if len(sequence) > bound:
             raise NoRegularFormError(
                 "regular sequence exceeded the block size; inconsistent state"

@@ -38,7 +38,6 @@ from seqcm.relcm import (
     RETRY_BUDGET,
     VariableBlock,
     _draw_form,
-    _exact_regular,
     _pivot_substitution,
     cd_wrt,
     h0_is_zero,
@@ -254,8 +253,9 @@ def elimination_saturation(I: Ideal, J: Ideal) -> Ideal:
 
 def exact_grade_search(pair, block, seed: int = 0) -> tuple:
     """The regular sequence of an unstopped grade search that decides every
-    candidate by the exact pair test (B : l) ∩ A ⊆ B on the current
-    quotient: the reference for the section test of ``relcm.grade_wrt``.
+    candidate by the defining test (B : l) ∩ A ⊆ B on the current quotient,
+    elimination route only (:func:`slow_is_regular`): the reference for the
+    section test of ``relcm.grade_wrt``.
     It draws the same candidate stream, with the same retry budget, and
     decides H^0 exactly once two candidates of a step have failed."""
     rng = random.Random(seed)
@@ -264,7 +264,7 @@ def exact_grade_search(pair, block, seed: int = 0) -> tuple:
     while indices:
         for attempt in range(RETRY_BUDGET):
             ell = _draw_form(pair.ring, indices, rng, 1 + attempt)
-            if _exact_regular(pair, ell):
+            if slow_is_regular(pair, ell):
                 break
             if attempt == _EXACT_H0_AFTER and not h0_is_zero(pair, block):
                 return tuple(sequence)

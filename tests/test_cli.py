@@ -291,6 +291,16 @@ def verify_tampered(capsys, monkeypatch, path, tamper, *argv):
     return code, err
 
 
+def zero_torsion_level(only_level):
+    """An H^0 level of two_planes' input ideal over itself, to go below the
+    only level of its relative-CM certificate, whose quotient is that ideal."""
+    base = only_level["verify"]["quotient"]
+    return {
+        "level": 1, "ideal": base, "cd": 0, "grade": 0, "relative_cm": True,
+        "regular_sequence": [], "verify": {"kind": "h0", "of": base},
+    }
+
+
 class TestVerify:
     @pytest.mark.parametrize(
         "text,block",
@@ -372,6 +382,80 @@ class TestVerify:
         code, err = verify_tampered(capsys, monkeypatch, path, forge)
         assert code == 4
         assert err.startswith(f"{path}: verify: generators are not the input ideal\n")
+
+    @pytest.mark.parametrize(
+        "name,block,tamper,message",
+        [
+            (
+                "split_binomial", "P",
+                lambda levels: levels[0].update(ideal=["x1"]),
+                "level 1: ideal·quotient is not the level below",
+            ),
+            (
+                "split_binomial", "Q",
+                lambda levels: levels[0].update(ideal=["x1"]),
+                "level 1: ideal·quotient is not the level below",
+            ),
+            (
+                "split_monomial", "Q",
+                lambda levels: levels[0]["verify"].update(a=["x1", "y2"], b=["y2"]),
+                "level 1: ideal ∩ b is not the level below",
+            ),
+            (
+                "torsion_then_line", "Q",
+                lambda levels: levels[0]["verify"].update(of=["x1*y1^2"]),
+                "level 1: of is not the level below",
+            ),
+            (
+                "torsion_then_line", "Q",
+                lambda levels: levels[1]["verify"].update(quotient=["x2"]),
+                "level 2: quotient is not the level below",
+            ),
+            (
+                "two_planes", "Q",
+                lambda levels: levels.insert(0, zero_torsion_level(levels[0])),
+                "level 1: h0 quotient is zero: of is saturated",
+            ),
+        ],
+        ids=(
+            "cyclic_ideal_P", "cyclic_ideal_Q", "pair_b", "h0_of", "cyclic_quotient",
+            "zero_h0_level",
+        ),
+    )
+    def test_broken_chain_link_is_four(
+        self, capsys, monkeypatch, name, block, tamper, message
+    ):
+        """One level's record changed so that it no longer presents the level
+        over the one below, while the recomputed cd and grade still match,
+        or a zero H^0 level inserted: each level's record must be
+        D_i/D_{i-1}, with D_{i-1} ⊊ D_i."""
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path,
+            lambda doc: tamper(doc["verdict"]["filtration"]["levels"]), "--wrt", block,
+        )
+        assert code == 4
+        assert err.startswith(f"{path}: verify: {message}\n")
+
+    @pytest.mark.parametrize("field", ["generators", "base"])
+    def test_unparsable_input_ideal_is_four(self, capsys, monkeypatch, field):
+        """``generators`` or the filtration ``base`` written in a variable the
+        ring lacks is a disagreement, not an error of the check."""
+
+        def tamper(doc):
+            if field == "generators":
+                doc["generators"] = ["x9"]
+            else:
+                doc["verdict"]["filtration"]["base"] = ["x9"]
+
+        path = str(CORPUS / "two_planes.ring")
+        code, err = verify_tampered(capsys, monkeypatch, path, tamper)
+        assert code == 4
+        name = "generators" if field == "generators" else "filtration base"
+        assert err == (
+            f"{path}: verify: cannot parse {name}: unknown variable 'x9' in ring "
+            "with m=2, n=2 (line 1, column 1)\n"
+        )
 
     def test_forged_ring_is_four(self, capsys, monkeypatch):
         """The levels are rechecked in the input's ring, so a document that

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+import helpers
 from helpers import (
     cyclic_submodule_cd,
     exact_grade_search,
@@ -31,7 +32,6 @@ from seqcm.relcm import (
     find_regular_linear_form,
     grade_wrt,
     _draw_form,
-    _exact_regular,
     _monomial_grade,
     _search_regular_form,
     _section_verdict,
@@ -604,8 +604,8 @@ class TestMonomialGrade:
 class TestCyclicFirst:
     """Each grade step tests its candidates on the section of J: J = B + L
     while A ∩ (B + L) = B + L·A holds, L the ideal of the earlier forms,
-    and J = B + L·A after that; only an open verdict takes the exact pair
-    test."""
+    and J = B + L·A after that; only a candidate that neither the lead test
+    nor a product witness decides pays for the exact finish's intersection."""
 
     def test_shortcut_ends_when_the_invariant_breaks(self, R22):
         """The ideal (x1, x2) has grade 1 w.r.t. P.  Every accepted form l
@@ -615,6 +615,27 @@ class TestCyclicFirst:
         pair = IdealPair(Ideal(R22, (R22.x(1), R22.x(2))), Ideal.zero(R22))
         for seed in (0, 1, 2):
             assert grade_wrt(pair, P, seed).grade == 1
+
+    def test_broken_invariant_matches_exact_search(self):
+        """Random monomial pairs A/(A ∩ C), blocks P, Q and m, seeds 0 and
+        1, whose first accepted form is a zerodivisor on S/A, so that every
+        later step tests on the section of B + L·A: grade_wrt accepts the
+        forms of the elimination-only search."""
+        rng = random.Random(12)
+        broken = 0
+        while broken < 20:
+            ring = BigradedRing(rng.choice((2, 3)), rng.choice((1, 2)))
+            a = random_monomial_ideal(rng, ring, max_gens=3, max_degree=2)
+            b = intersect(a, random_monomial_ideal(rng, ring, max_gens=3, max_degree=3))
+            pair = IdealPair(a, b)
+            if pair.is_zero_module() or a.is_unit_ideal():
+                continue
+            block = rng.choice((P, Q, M))
+            for seed in (0, 1):
+                got = grade_wrt(pair, block, seed).regular_sequence
+                if got and not is_regular_form(IdealPair.cyclic(a), got[0]):
+                    assert got == exact_grade_search(pair, block, seed), (pair, block)
+                    broken += 1
 
     def test_same_witness_as_exact_search(self):
         """Random level pairs in 2+2 and 3+3, blocks P, Q and m, seeds 0
@@ -635,17 +656,22 @@ class TestCyclicFirst:
         (x3*y3^2, x1*y1*y2, y3) w.r.t. P, of grade and cd 2.  Every
         accepted form passes the section test, and the one rejected
         candidate (at seed 1) has a product witness, so no step pays for
-        the exact test's intersection at seeds 0, 1 and 2.  The exact-only
-        search intersects on every step."""
+        the exact finish's intersection at seeds 0, 1 and 2.  The
+        elimination-only search intersects on every step."""
         import seqcm.relcm as relcm
 
         calls = []
 
-        def counting(I, J):
-            calls.append(1)
-            return intersect(I, J)
+        def counting(intersection):
+            def counted(I, J):
+                calls.append(1)
+                return intersection(I, J)
+            return counted
 
-        monkeypatch.setattr(relcm, "intersect", counting)
+        monkeypatch.setattr(relcm, "intersect", counting(intersect))
+        monkeypatch.setattr(
+            helpers, "elimination_intersect", counting(helpers.elimination_intersect)
+        )
         ring = BigradedRing(3, 3)
         a = Ideal(ring, [ring.parse(t) for t in ("x1", "y1*y2", "y3")])
         b = Ideal(ring, [ring.parse(t) for t in ("x1", "y3")])
@@ -662,25 +688,26 @@ class TestCyclicFirst:
     def test_witness_rejections_agree_with_exact_test(self, monkeypatch):
         """Random level pairs in 2+2, 3+3 and 4+4, blocks P, Q and m, over
         QQ and GF(32003), seeds 0 and 1: every candidate rejected by the
-        section test is a zerodivisor by the exact pair test, and every
-        candidate it accepts is regular by it."""
+        section test is a zerodivisor on the step's quotient A/(B + L·A) by
+        the elimination-only test of the definition, and every candidate it
+        accepts is regular by it."""
         import seqcm.relcm as relcm
 
         search, verdict = relcm._search_regular_form, relcm._section_verdict
         current = []
         outcomes = []
 
-        def searching(pair, block, rng, j):
-            current.append(pair)
+        def searching(pair, block, rng, sequence=(), invariant=True):
+            current.append(pair.mod_form(*sequence))
             try:
-                return search(pair, block, rng, j)
+                return search(pair, block, rng, sequence, invariant)
             finally:
                 current.pop()
 
         def deciding(section, a, ell):
             got = verdict(section, a, ell)
-            if current and got is not None:  # a candidate of the search
-                assert got == _exact_regular(current[-1], ell), (current[-1], ell)
+            if current:  # a candidate of the search
+                assert got == slow_is_regular(current[-1], ell), (current[-1], ell)
                 outcomes.append(got)
             return got
 
@@ -696,11 +723,21 @@ class TestCyclicFirst:
                         grade_wrt(pair, block, seed)
         assert outcomes.count(False) >= 300 and outcomes.count(True) >= 120
 
-    def test_witness_needs_no_invariant(self):
+    def test_witness_needs_no_invariant(self, monkeypatch):
         """Random monomial pairs A/(A ∩ C), blocks P and m: after a first
         form l1 that is regular on A/B but breaks the invariant (a
-        zerodivisor on S/A), every rejection by the section of
-        B + (l1) is still a zerodivisor of A/(B + l1·A)."""
+        zerodivisor on S/A), every rejection by the section of B + (l1)
+        that comes before the exact finish (which needs the invariant) is
+        still a zerodivisor of A/(B + l1·A)."""
+        import seqcm.relcm as relcm
+
+        finishes = []
+
+        def counting(I, J):
+            finishes.append(1)
+            return intersect(I, J)
+
+        monkeypatch.setattr(relcm, "intersect", counting)
         rng = random.Random(9)
         witnesses = 0
         for _ in range(600):
@@ -717,7 +754,8 @@ class TestCyclicFirst:
             section = _solve_linear(ring, b.gens + (l1,))
             for span in (1, 2, 3):
                 l2 = _draw_form(ring, indices, rng, span)
-                if _section_verdict(section, a, l2) is False:
+                finishes.clear()
+                if not _section_verdict(section, a, l2) and not finishes:
                     assert not is_regular_form(pair.mod_form(l1), l2), (pair, l1, l2)
                     witnesses += 1
         assert witnesses >= 20
@@ -726,9 +764,18 @@ class TestCyclicFirst:
         """A level pair of (x2*x3*y2, x2^2*y3) in 3+3 w.r.t. P: l = 2*x2 + x3
         is a zerodivisor on S/B, B = (x3, x2^2), and on A/B (x2*y2*y3 in A
         is killed), but no product x2·ā, x2 the cofactor of x2^2, leaves B.
-        The section test leaves the candidate to the exact pair test, and
-        the search still accepts the forms of the exact-only search."""
+        Only the exact finish, with its one intersection, rejects the
+        candidate, and the search, which meets such candidates, still
+        accepts the forms of the elimination-only search."""
         import seqcm.relcm as relcm
+
+        calls = []
+
+        def counting(I, J):
+            calls.append(1)
+            return intersect(I, J)
+
+        monkeypatch.setattr(relcm, "intersect", counting)
 
         ring = BigradedRing(3, 3)
         a = Ideal(ring, [ring.parse(t) for t in (
@@ -737,20 +784,23 @@ class TestCyclicFirst:
         b = Ideal(ring, [ring.parse(t) for t in ("x3", "x2^2")])
         pair = IdealPair(a, b)
         ell = ring.parse("2*x2 + x3")
-        assert _section_verdict(_solve_linear(ring, b.gens), a, ell) is None
+        assert _section_verdict(_solve_linear(ring, b.gens), a, ell) is False
+        assert calls == [1]
         assert not is_regular_form(pair, ell) and not slow_is_regular(pair, ell)
 
-        verdicts = []
+        finishes = []
 
         def recording(*args):
-            verdicts.append(_section_verdict(*args))
-            return verdicts[-1]
+            before = len(calls)
+            verdict = _section_verdict(*args)
+            finishes.append(len(calls) - before)
+            return verdict
 
         monkeypatch.setattr(relcm, "_section_verdict", recording)
         for seed in range(6):
             got = grade_wrt(pair, P, seed).regular_sequence
             assert got == exact_grade_search(pair, P, seed)
-        assert verdicts.count(None) >= 6
+        assert sum(finishes) >= 6
 
     def test_one_section_per_step(self, monkeypatch):
         """A step solves the linear generators of J once, however many of
@@ -781,7 +831,7 @@ class TestCyclicFirst:
             for seed in range(12):
                 solves.clear()
                 verdicts.clear()
-                assert _search_regular_form(pair, Q, random.Random(seed), pair.b)
+                assert _search_regular_form(pair, Q, random.Random(seed))
                 assert solves == [1] and verdicts[-1] is True
                 rejected += verdicts.count(False)
         assert rejected >= 4
