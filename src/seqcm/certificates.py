@@ -18,6 +18,7 @@ from .errors import CertificateVerificationError, SeqcmError
 from .groebner import Ideal, intersect, saturation
 from .poly import parse_polynomial
 from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
+from .relcm import _principal_cd_grade
 
 
 class Route(Enum):
@@ -76,7 +77,6 @@ class FiltrationLevel:
 class CMFiltration:
     """base = D_0 ⊊ levels[0].ideal ⊊ ... ⊊ levels[-1].ideal = (1)."""
 
-    block: object
     base: Ideal
     levels: tuple
 
@@ -94,9 +94,19 @@ class CMFiltration:
             )
 
 
+def _first_failing_level(relative_cm_flags) -> int | None:
+    """The first level, counted from 1, whose flag is false, or None: the
+    offending level of verdicts and of the documents that are verified."""
+    return next((i for i, ok in enumerate(relative_cm_flags, start=1) if not ok), None)
+
+
 @dataclass(frozen=True)
 class SeqCMVerdict:
-    """Decision plus certificate; when false, the first failing level index (1-based).
+    """A certificate and the route that produced it.
+
+    S/I is sequentially CM exactly when every quotient of its CM filtration
+    is relative CM, so ``offending_level`` (the first level that is not)
+    and ``decision`` (there is none) are read off the levels.
 
     ``report`` is the cd/grade report of S/I itself, which
     :func:`seqcm.filtration.is_seq_cm` computes first, routes by and sets
@@ -104,33 +114,21 @@ class SeqCMVerdict:
     part of the certificate and takes no part in comparisons.
     """
 
-    decision: bool
     filtration: CMFiltration
     route: Route
-    offending_level: int | None = None
     report: CdGradeReport | None = field(default=None, compare=False)
 
-    def __post_init__(self):
-        if self.decision and not all(l.relative_cm for l in self.filtration.levels):
-            raise CertificateVerificationError(
-                "positive verdict with a non-relative-CM level"
-            )
-        if self.decision and self.offending_level is not None:
-            raise CertificateVerificationError("positive verdict with offending level")
+    offending_level = property(lambda self: _first_failing_level(
+        level.relative_cm for level in self.filtration.levels
+    ))
+    decision = property(lambda self: self.offending_level is None)
 
 
-def single_level_verdict(
-    I: Ideal, block, report: CdGradeReport, route: Route
-) -> SeqCMVerdict:
+def single_level_verdict(I: Ideal, report: CdGradeReport, route: Route) -> SeqCMVerdict:
     """The verdict whose chain is I ⊊ (1): S/I is the only quotient, so the
     decision is whether S/I itself is relative CM."""
     level = FiltrationLevel(Ideal.unit(I.ring), report, VerifySpec.cyclic(I))
-    return SeqCMVerdict(
-        decision=report.relative_cm,
-        filtration=CMFiltration(block=block, base=I, levels=(level,)),
-        route=route,
-        offending_level=None if report.relative_cm else 1,
-    )
+    return SeqCMVerdict(CMFiltration(I, (level,)), route)
 
 
 # ---- documents -----------------------------------------------------------------------
@@ -170,6 +168,16 @@ def _filtration_doc(filtration: CMFiltration) -> dict:
         "base": _ideal_doc(filtration.base),
         "levels": levels,
     }
+
+
+def _hypersurface_invariants(f, report) -> dict:
+    """A hypersurface document's invariants: the bidegree (a, b) of f, and
+    the cd and grade of S/fS for P and Q, read off ``report(block)``."""
+    doc = dict(zip("ab", f.bidegree()))
+    for block in (VariableBlock.P, VariableBlock.Q):
+        doc[f"cd_{block.value}"] = report(block).cd
+        doc[f"grade_{block.value}"] = report(block).grade
+    return doc
 
 
 def _verdict_doc(verdict: SeqCMVerdict) -> dict:
@@ -233,6 +241,11 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     cds.  Each level's verify record must present the level over the one
     below it, the chain taken to run from the input ideal to (1), and the
     level is recomputed from that record alone (:func:`_level_problem`).
+    The verdict's ``offending_level`` and ``decision`` must follow from the
+    levels as a verdict derives them, its ``route`` must fit the input and
+    levels (:func:`_route_fits`), and the top-level invariants must agree
+    with the levels (seqcm) or the input's generator (hypersurface); these
+    last checks compute no basis.
     Ideals are compared as ideals, not as texts.  Each distinct ideal of the
     document is parsed at most once per call, and the input's own generator
     strings are taken to be ``ideal``.
@@ -290,7 +303,74 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
             problem = f"recheck raised {exc}"
         if problem is not None:
             problems.append(f"{tag}: {problem}")
-    all_cm = all(level["relative_cm"] for level in levels)
-    if verdict["decision"] != (all_cm and verdict["offending_level"] is None):
-        problems.append("decision inconsistent with level records")
+    offending = _first_failing_level(level["relative_cm"] for level in levels)
+    want = {"offending_level": offending, "decision": offending is None}
+    problems += [
+        f"{key} is not {value}" for key, value in want.items() if verdict[key] != value
+    ]
+    if not _route_fits(verdict["route"], ideal, levels):
+        problems.append(f"route {verdict['route']!r} does not fit the input and levels")
+    if doc["command"] == "hypersurface":
+        return problems + _hypersurface_problems(doc, ideal)
+    invariants = doc["invariants"]
+    # cd depends only on the support, the union of the levels' supports.
+    want = {"cd": levels[-1]["cd"]} if levels else {}
+    want["relative_cm"] = invariants["grade"] == invariants["cd"]
+    if len(levels) == 1 and levels[0]["verify"]["kind"] == "cyclic":  # S/I itself
+        want["grade"] = levels[0]["grade"]
+    return problems + [
+        f"invariants {key} is not {value}"
+        for key, value in want.items()
+        if invariants[key] != value
+    ]
+
+
+def _route_fits(route: str, ideal: Ideal, levels: list) -> bool:
+    """Whether the input ideal and the document's levels have the shape of
+    every verdict that the decider of ``route`` makes."""
+    one = len(levels) == 1
+    return {
+        Route.RELATIVE_CM.value: one and levels[0]["relative_cm"],
+        Route.UNMIXED_SHORTCUT.value: (
+            one and not levels[0]["relative_cm"] and ideal.is_monomial_ideal()
+        ),
+        Route.MONOMIAL_FILTRATION.value: ideal.is_monomial_ideal(),
+        Route.CD_LE_1.value: (
+            [(level["verify"]["kind"], level["cd"]) for level in levels]
+            == [("h0", 0), ("cyclic", 1)]
+        ),
+        Route.HYPERSURFACE_RANK1.value: len(ideal.gens) == 1,
+    }.get(route, False)
+
+
+def _hypersurface_problems(doc: dict, ideal: Ideal) -> list:
+    """A hypersurface document's invariants and split, read against the
+    input's generator f: its bidegree, cd and grade of S/fS in closed form,
+    and a split h1(x)·h2(y) = f, null exactly when the decision is false."""
+    if len(ideal.gens) != 1:
+        return []  # the route check reports it
+    (f,), ring, pair = ideal.gens, ideal.ring, IdealPair.cyclic(ideal)
+    want = _hypersurface_invariants(
+        f, lambda block: CdGradeReport(*_principal_cd_grade(pair, block), ())
+    )
+    problems = [
+        f"invariants {key} is not {value}"
+        for key, value in want.items()
+        if doc["invariants"][key] != value
+    ]
+    split = doc["split"]
+    if (split is None) == doc["verdict"]["decision"]:
+        return problems + ["split is not null exactly when decision is false"]
+    if split is None:
+        return problems
+    try:
+        h1, h2 = (parse_polynomial(ring, split[key]) for key in ("h1", "h2"))
+    except SeqcmError as exc:
+        return problems + [f"cannot parse split: {exc}"]
+    if not h1.support_variables() <= set(ring.x_range):
+        problems.append("split h1 is not in x only")
+    if not h2.support_variables() <= set(ring.y_range):
+        problems.append("split h2 is not in y only")
+    if h1 * h2 != f:
+        problems.append("split h1·h2 is not the generator")
     return problems

@@ -37,7 +37,8 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .certificates import _ideal_doc, _ring_doc, _verdict_doc, verify_certificate
+from .certificates import _hypersurface_invariants, _ideal_doc, _ring_doc, _verdict_doc
+from .certificates import verify_certificate
 from .errors import (
     NoRegularFormError,
     NotBihomogeneousError,
@@ -232,18 +233,12 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
             doc["note"] = "zero module"
     elif command == "cd":
         doc["invariants"]["cd"] = cd_wrt(ideal, block)
-    elif command == "grade":
-        witness = grade_wrt(pair, block, seed)
-        doc["invariants"]["grade"] = witness.grade
-        doc["witness"] = {
-            "regular_sequence": [str(p) for p in witness.regular_sequence]
-        }
-    elif command == "depth":
-        witness = grade_wrt(pair, VariableBlock.M, seed)
-        doc["invariants"]["depth"] = witness.grade
-        doc["witness"] = {
-            "regular_sequence": [str(p) for p in witness.regular_sequence]
-        }
+    elif command in ("grade", "depth"):
+        side = block if command == "grade" else VariableBlock.M  # depth: the block m
+        witness = grade_wrt(pair, side, seed)
+        doc["invariants"][command] = witness.grade
+        sequence = [str(p) for p in witness.regular_sequence]
+        doc["witness"] = {"regular_sequence": sequence}
     elif command == "relcm":
         report = is_relative_cm(pair, block, seed)
         doc["invariants"].update(
@@ -293,16 +288,7 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
         stats = hypersurface_stats(f, seed)
         verdict = classify_hypersurface(f, block, seed, _report=stats)
         split = stats.split
-        doc["invariants"].update(
-            {
-                "a": stats.a,
-                "b": stats.b,
-                "grade_P": stats.report_p.grade,
-                "cd_P": stats.report_p.cd,
-                "grade_Q": stats.report_q.grade,
-                "cd_Q": stats.report_q.cd,
-            }
-        )
+        doc["invariants"].update(_hypersurface_invariants(f, stats.report))
         doc["split"] = (
             {"h1": str(split.h1), "h2": str(split.h2)} if split is not None else None
         )

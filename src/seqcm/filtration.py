@@ -53,7 +53,7 @@ from .groebner import (
     _monomial_ideal,
     saturation,
 )
-from .poly import Polynomial, mono_divides, mono_support
+from .poly import BigradedRing, Polynomial, mono_divides, mono_support
 from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
 
 # ---- monomial primary decomposition ------------------------------------------------
@@ -287,10 +287,9 @@ def _cd_le_1_verdict(I: Ideal, block: VariableBlock, seed: int) -> SeqCMVerdict:
         raise CertificateVerificationError(
             "saturation quotient is not Cohen-Macaulay of cd 1"
         )
-    torsion = FiltrationLevel(sat, CdGradeReport(0, 0, True, ()), VerifySpec.h0(I))
+    torsion = FiltrationLevel(sat, CdGradeReport(0, 0, ()), VerifySpec.h0(I))
     free_part = FiltrationLevel(Ideal.unit(ring), top_report, VerifySpec.cyclic(sat))
-    filtration = CMFiltration(block=block, base=I, levels=(torsion, free_part))
-    return SeqCMVerdict(decision=True, filtration=filtration, route=Route.CD_LE_1)
+    return SeqCMVerdict(CMFiltration(I, (torsion, free_part)), Route.CD_LE_1)
 
 
 def _monomial_verdict(
@@ -299,7 +298,6 @@ def _monomial_verdict(
     df = dimension_filtration(I, block)
     ring = I.ring
     levels = []
-    offending = None
     for index, piece in enumerate(df.slices):
         d_ideal = df.chain[index + 1]
         e_ideal = piece.unmixed_part
@@ -316,23 +314,11 @@ def _monomial_verdict(
                 f"level cd {level_report.cd} disagrees with component cd "
                 f"{piece.cd_value}"
             )
-        if not level_report.relative_cm and offending is None:
-            offending = index + 1
         primes = tuple(c.radical for c in piece.components)
         levels.append(FiltrationLevel(d_ideal, level_report, verify, primes))
-    decision = offending is None
-    route = (
-        Route.UNMIXED_SHORTCUT
-        if len(df.slices) == 1 and not decision
-        else Route.MONOMIAL_FILTRATION
-    )
-    filtration = CMFiltration(block=block, base=I, levels=tuple(levels))
-    return SeqCMVerdict(
-        decision=decision,
-        filtration=filtration,
-        route=route,
-        offending_level=offending,
-    )
+    unmixed = len(levels) == 1 and not report.relative_cm
+    route = Route.UNMIXED_SHORTCUT if unmixed else Route.MONOMIAL_FILTRATION
+    return SeqCMVerdict(CMFiltration(I, tuple(levels)), route)
 
 
 def is_seq_cm(I: Ideal, block: VariableBlock, seed: int = 0) -> SeqCMVerdict:
@@ -355,7 +341,7 @@ def _routed_verdict(
 ) -> SeqCMVerdict:
     """The verdict on S/I along the route its cyclic report selects."""
     if report.relative_cm:
-        return single_level_verdict(I, block, report, Route.RELATIVE_CM)
+        return single_level_verdict(I, report, Route.RELATIVE_CM)
     if report.cd <= 1:
         return _cd_le_1_verdict(I, block, seed)
     if I.is_monomial_ideal():
@@ -411,10 +397,7 @@ def tensor_split_check(I_x: Ideal, I_y: Ideal, seed: int = 0) -> tuple:
         if any(i in ring.x_range for i in g.support_variables()):
             raise UnsupportedIdealClassError("I_y must use y variables only")
     lhs = is_seq_cm(I_x + I_y, VariableBlock.Q, seed).decision
-
-    from .poly import BigradedRing
-
-    ordinary = BigradedRing(0, ring.n, ring.field, ring.order)
+    ordinary = BigradedRing(0, ring.n, ring.field)
     mapped = []
     for g in I_y.gens:
         terms = {e[ring.m :]: c for e, c in g.terms.items()}

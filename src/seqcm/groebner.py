@@ -2,7 +2,7 @@
 
 Buchberger's algorithm with Gebauer-Moller pair pruning and normal (minimal
 lcm) selection, returning the unique reduced basis.  On top of it: ideal
-membership, intersection (one auxiliary variable plus a block elimination
+membership, intersection (one more variable t and a block elimination
 order), ideal quotient, saturation by rounds of colons (one round is the
 H^0 test of :mod:`seqcm.relcm`), and Krull dimension via maximal
 independent variable sets of the leading-term ideal.
@@ -316,11 +316,11 @@ class Ideal:
         return cls(ring, ())
 
     def _presentation(self) -> tuple:
-        """(ring key, canonical generator keys): the identity of the
+        """(ring, canonical generator keys): the identity of the
         presentation, shared by ``==``, ``hash`` and the basis memo."""
         key = self._gens_key
         if key is None:
-            key = (self.ring.key(), tuple(g.canonical_key() for g in self.gens))
+            key = (self.ring, tuple(g.canonical_key() for g in self.gens))
             object.__setattr__(self, "_gens_key", key)
         return key
 
@@ -437,17 +437,6 @@ class Ideal:
 # ---- elimination-based calculus ---------------------------------------------------
 
 
-def _eliminate_first_aux(ring_ext: BigradedRing, gens: list, ring: BigradedRing) -> Ideal:
-    """GB under an order eliminating the first aux slot; keep aux-free elements."""
-    order = MonomialOrder.eliminate(1)
-    basis = buchberger(gens, order)
-    kept = []
-    for g in basis:
-        if all(e[0] == 0 for e in g.terms):
-            kept.append(g.aux_stripped(ring))
-    return Ideal(ring, kept)
-
-
 def _monomial_ideal(ring: BigradedRing, monos) -> Ideal:
     one = ring.field.one
     return Ideal(ring, tuple(Polynomial._raw(ring, {m: one}) for m in monos))
@@ -460,7 +449,8 @@ def _intersect_monomials(a: tuple, b: tuple) -> tuple:
 
 
 def intersect(I: Ideal, J: Ideal) -> Ideal:
-    """I ∩ J via t*I + (1-t)*J and elimination of the auxiliary t."""
+    """I ∩ J: unit, zero and monomial inputs directly, the others by
+    :func:`_intersect_by_elimination`."""
     if I.ring != J.ring:
         raise RingMismatchError("ideals from different rings")
     if I.is_unit_ideal():
@@ -476,13 +466,27 @@ def intersect(I: Ideal, J: Ideal) -> Ideal:
                 I.minimal_monomial_generators(), J.minimal_monomial_generators()
             ),
         )
+    return _intersect_by_elimination(I, J)
+
+
+def _intersect_by_elimination(I: Ideal, J: Ideal) -> Ideal:
+    """I ∩ J as the t-free part of the basis of t*I + (1-t)*J under
+    ``eliminate(1)``, for t the variable 0 of BigradedRing(m + 1, n): a
+    generator is lifted by prepending a 0 exponent."""
     ring = I.ring
-    ext = ring.extended(1)
+    ext = BigradedRing(ring.m + 1, ring.n, ring.field)
     t = ext.gen(0)
     one_minus_t = ext.one() - t
-    gens = [t * g.embedded(ext) for g in I.gens]
-    gens += [one_minus_t * g.embedded(ext) for g in J.gens]
-    return _eliminate_first_aux(ext, gens, ring)
+
+    def lift(g: Polynomial) -> Polynomial:
+        return Polynomial._raw(ext, {(0,) + e: c for e, c in g.terms.items()})
+
+    gens = [t * lift(g) for g in I.gens] + [one_minus_t * lift(g) for g in J.gens]
+    kept = []
+    for g in buchberger(gens, MonomialOrder.eliminate(1)):
+        if all(e[0] == 0 for e in g.terms):
+            kept.append(Polynomial._raw(ring, {e[1:]: c for e, c in g.terms.items()}))
+    return Ideal(ring, kept)
 
 
 def _colon_basis(basis, var_index: int, keyfn) -> list:

@@ -68,26 +68,14 @@ class CoefficientMatrix:
         return Polynomial._raw(self.ring, terms)
 
 
-def _split_exponents(ring: BigradedRing, exps):
-    x_part = tuple(
-        e if i in ring.x_range else 0 for i, e in enumerate(exps)
-    )
-    y_part = tuple(
-        e if i in ring.y_range else 0 for i, e in enumerate(exps)
-    )
-    return x_part, y_part
-
-
 def coefficient_matrix(f: Polynomial) -> CoefficientMatrix:
     """The (x monomial) x (y monomial) coefficient matrix of a nonzero
     bihomogeneous polynomial; lossless."""
     f.bidegree()  # raises on zero / non-bihomogeneous input
     ring = f.ring
     keyfn = ring.sort_key()
-    table = {}
-    for exps, c in f.terms.items():
-        alpha, beta = _split_exponents(ring, exps)
-        table[(alpha, beta)] = c
+    m, n = ring.m, ring.n  # key each term by its x part and its y part
+    table = {(e[:m] + (0,) * n, (0,) * m + e[m:]): c for e, c in f.terms.items()}
     rows = sorted({ab[0] for ab in table}, key=keyfn, reverse=True)
     cols = sorted({ab[1] for ab in table}, key=keyfn, reverse=True)
     zero = ring.field.zero
@@ -105,11 +93,10 @@ def exact_rank(entries, field) -> int:
 
 @dataclass(frozen=True)
 class SplitWitness:
-    """f = h1(x) * h2(y) with h2 monic; ``verified`` records the expansion check."""
+    """f = h1(x) * h2(y) with h2 monic, checked by expansion when built."""
 
     h1: Polynomial
     h2: Polynomial
-    verified: bool
 
 
 def rank_one_split(f: Polynomial):
@@ -146,7 +133,7 @@ def rank_one_split(f: Polynomial):
         if lc != one:
             h1 = h1.scale(lc)
             h2 = h2.scale(one / lc)
-        return SplitWitness(h1, h2, True)
+        return SplitWitness(h1, h2)
     if exact_rank(matrix.entries, ring.field) <= 1:
         raise CertificateVerificationError(
             "rank <= 1 but the reconstructed split failed to expand"
@@ -156,11 +143,9 @@ def rank_one_split(f: Polynomial):
 
 @dataclass(frozen=True)
 class HypersurfaceReport:
-    """Bidegree (a, b), the rank-one split (None when rank >= 2) and the
-    cyclic cd/grade reports of S/fS for both blocks."""
+    """The rank-one split (None when rank >= 2) and the cyclic cd/grade
+    reports of S/fS for both blocks."""
 
-    a: int
-    b: int
     split: SplitWitness | None
     report_p: CdGradeReport
     report_q: CdGradeReport
@@ -178,7 +163,7 @@ def _proper_principal(f: Polynomial) -> Ideal:
 
 
 def hypersurface_stats(f: Polynomial, seed: int = 0) -> HypersurfaceReport:
-    """Bidegree, rank-one split, and grade/cd for both blocks of S/fS.
+    """Rank-one split, and grade/cd for both blocks of S/fS.
 
     For a nonzero bihomogeneous f of bidegree (a, b): a = 0 gives
     (cd_P, cd_Q) = (m, n-1) with both blocks relative CM, b = 0 the mirror,
@@ -187,11 +172,8 @@ def hypersurface_stats(f: Polynomial, seed: int = 0) -> HypersurfaceReport:
     the reports cost no dimension and no terminal H^0 proof; only the
     regular sequence is searched for.
     """
-    a, b = f.bidegree()
     pair = IdealPair.cyclic(_proper_principal(f))
     return HypersurfaceReport(
-        a=a,
-        b=b,
         split=rank_one_split(f),
         report_p=is_relative_cm(pair, VariableBlock.P, seed),
         report_q=is_relative_cm(pair, VariableBlock.Q, seed),
@@ -219,7 +201,7 @@ def _two_level_certificate(
         return None
     level1 = FiltrationLevel(upper, bottom, VerifySpec.cyclic(lower))
     level2 = FiltrationLevel(Ideal.unit(ring), top, VerifySpec.cyclic(upper))
-    return CMFiltration(block=block, base=Ideal(ring, (f,)), levels=(level1, level2))
+    return CMFiltration(Ideal(ring, (f,)), (level1, level2))
 
 
 def classify_hypersurface(
@@ -259,7 +241,7 @@ def classify_hypersurface(
             raise CertificateVerificationError(
                 "one-sided hypersurface must be relative CM"
             )
-        return single_level_verdict(I, block, report, Route.HYPERSURFACE_RANK1)
+        return single_level_verdict(I, report, Route.HYPERSURFACE_RANK1)
     if block is VariableBlock.Q:
         middle, cofactor = split.h1, split.h2
     else:
@@ -269,6 +251,4 @@ def classify_hypersurface(
         raise CertificateVerificationError(
             "split found but the two-level chain did not verify"
         )
-    return SeqCMVerdict(
-        decision=True, filtration=filtration, route=Route.HYPERSURFACE_RANK1
-    )
+    return SeqCMVerdict(filtration, Route.HYPERSURFACE_RANK1)

@@ -35,7 +35,7 @@ class MonomialOrder:
     """Order tag plus parameters; hashable so it can key Groebner caches.
 
     ``block-eliminate`` compares the first ``block`` variables grevlex-first,
-    so it eliminates those leading (auxiliary) variables.  ``last_var``
+    so it eliminates those leading variables.  ``last_var``
     (built by :meth:`variable_last`) selects a grevlex variant with one
     chosen variable rotated to the smallest position; it is plain grevlex
     after relabeling, and it puts any variable where the colon-by-variable

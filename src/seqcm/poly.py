@@ -5,14 +5,17 @@ is a map from exponent tuples to nonzero field elements; the zero polynomial
 is the empty map, so equality is term-order independent.  Values are
 immutable after construction and safe to share across threads.
 
-Rings may carry ``aux`` leading slots (t1, t2, ...) used internally for
-elimination; user-facing rings always have ``aux == 0`` and the text syntax
-only knows x and y variables.
+A ring is ``BigradedRing(m, n, field)`` and nothing more: its variables are
+laid out x1..xm then y1..yn, and its term order is grevlex on that layout
+(the class constant ``order``).  Elimination needs one more variable, which
+:mod:`seqcm.groebner` adds as an x variable of a ring with m + 1.
 
 Text syntax: terms joined by ``+``/``-``, ``*`` for products, ``^`` for
 powers, variables ``x1..xm``/``y1..yn``, integer or ``p/q`` coefficients,
-parentheses allowed.  Printing is canonical: terms in descending default
-order, exact coefficients, so printing then parsing is the identity.
+parentheses allowed.  Text is ASCII: digits are 0-9 and names are ASCII
+letters, digits and ``_``, so any other digit or letter is an unexpected
+character.  Printing is canonical: terms in descending default order, exact
+coefficients, so printing then parsing is the identity.
 """
 
 from __future__ import annotations
@@ -36,6 +39,11 @@ Monomial = tuple  # exponent tuple, one nonnegative int per ring variable
 # frames of the recursive-descent parser, so deeper input would exhaust the
 # interpreter's recursion limit instead of raising a ParseError.
 MAX_NESTING = 100
+# The characters of numbers and names.  str.isdigit and str.isalnum would
+# also accept characters such as '²', which int() then rejects.
+_DIGITS = frozenset("0123456789")
+_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
+_NAME_CHARS = _DIGITS | _LETTERS | {"_"}
 
 
 # The four hot helpers map C-level operators over the tuples: on 8-variable
@@ -80,49 +88,44 @@ class BiDegree(NamedTuple):
 
 @dataclass(frozen=True)
 class BigradedRing:
-    """K[x1..xm, y1..yn] with an optional block of internal aux variables.
-
-    Variable layout is fixed: aux block first, then the x block, then the
-    y block.  The default order is grevlex on that layout.
-    """
+    """K[x1..xm, y1..yn]: the x block first, then the y block, ordered by
+    grevlex on that layout."""
 
     m: int
     n: int
     field: object = QQ
-    order: MonomialOrder = MonomialOrder()
-    aux: int = 0
+    order = MonomialOrder()  # a class constant, not a field
 
     def __post_init__(self):
-        if self.m < 0 or self.n < 1 or self.aux < 0:
-            raise ValueError("need m >= 0, n >= 1, aux >= 0")
+        if self.m < 0 or self.n < 1:
+            raise ValueError("need m >= 0, n >= 1")
 
     @property
     def nvars(self) -> int:
-        return self.aux + self.m + self.n
+        return self.m + self.n
 
     @property
     def x_range(self) -> range:
-        return range(self.aux, self.aux + self.m)
+        return range(self.m)
 
     @property
     def y_range(self) -> range:
-        return range(self.aux + self.m, self.nvars)
+        return range(self.m, self.nvars)
 
     def variable_name(self, index: int) -> str:
-        if index < self.aux:
-            return f"t{index + 1}"
-        if index < self.aux + self.m:
-            return f"x{index - self.aux + 1}"
-        return f"y{index - self.aux - self.m + 1}"
+        if index < self.m:
+            return f"x{index + 1}"
+        return f"y{index - self.m + 1}"
 
     def variable_index(self, name: str) -> int | None:
         """Index of ``x<i>``/``y<j>`` or None if out of range / unknown."""
-        if len(name) < 2 or name[0] not in "xy" or not name[1:].isdigit():
+        digits = name[1:]
+        if name[:1] not in ("x", "y") or not digits or not _DIGITS.issuperset(digits):
             return None
-        i = int(name[1:])
+        i = int(digits)
         if name[0] == "x":
-            return self.aux + i - 1 if 1 <= i <= self.m else None
-        return self.aux + self.m + i - 1 if 1 <= i <= self.n else None
+            return i - 1 if 1 <= i <= self.m else None
+        return self.m + i - 1 if 1 <= i <= self.n else None
 
     def sort_key(self):
         return self.order.sort_key(self.nvars)
@@ -151,13 +154,13 @@ class BigradedRing:
         """x_i, 1-based."""
         if not (1 <= i <= self.m):
             raise IndexError(f"x{i} not in ring with m={self.m}")
-        return self.gen(self.aux + i - 1)
+        return self.gen(i - 1)
 
     def y(self, j: int) -> "Polynomial":
         """y_j, 1-based."""
         if not (1 <= j <= self.n):
             raise IndexError(f"y{j} not in ring with n={self.n}")
-        return self.gen(self.aux + self.m + j - 1)
+        return self.gen(self.m + j - 1)
 
     def monomial(self, exps, coeff=1) -> "Polynomial":
         exps = tuple(exps)
@@ -169,19 +172,8 @@ class BigradedRing:
     def parse(self, text: str) -> "Polynomial":
         return parse_polynomial(self, text)
 
-    # ---- derived rings ---------------------------------------------------------
-
-    def extended(self, extra: int = 1) -> "BigradedRing":
-        """Same ring with ``extra`` more aux slots prepended (for elimination)."""
-        return BigradedRing(self.m, self.n, self.field, self.order, self.aux + extra)
-
-    def key(self):
-        return (self.m, self.n, self.aux, self.field.name, self.order)
-
     def __str__(self):
-        return f"{self.field}[x1..x{self.m}, y1..y{self.n}]" + (
-            f"+{self.aux}aux" if self.aux else ""
-        )
+        return f"{self.field}[x1..x{self.m}, y1..y{self.n}]"
 
 
 class Polynomial:
@@ -234,9 +226,8 @@ class Polynomial:
         return len({self._term_bidegree(e) for e in self.terms}) <= 1
 
     def _term_bidegree(self, exps) -> BiDegree:
-        x0 = self.ring.aux
-        y0 = x0 + self.ring.m
-        return BiDegree(sum(exps[x0:y0]), sum(exps[y0:]))
+        m = self.ring.m
+        return BiDegree(sum(exps[:m]), sum(exps[m:]))
 
     def bidegree(self) -> BiDegree:
         """The common bidegree of all terms; needs a nonzero bihomogeneous input."""
@@ -375,26 +366,6 @@ class Polynomial:
                 out[m] = v if s is None else s + v
         return Polynomial._raw(self.ring, {m: c for m, c in out.items() if c})
 
-    def embedded(self, target: BigradedRing) -> "Polynomial":
-        """Reinterpret in a ring with more aux slots (exponents shifted right)."""
-        extra = target.aux - self.ring.aux
-        if extra < 0 or (target.m, target.n) != (self.ring.m, self.ring.n):
-            raise RingMismatchError("embedding target must add aux slots only")
-        pad = (0,) * extra
-        return Polynomial._raw(target, {pad + e: c for e, c in self.terms.items()})
-
-    def aux_stripped(self, target: BigradedRing) -> "Polynomial":
-        """Inverse of :meth:`embedded`; every aux exponent being removed must be 0."""
-        drop = self.ring.aux - target.aux
-        if drop < 0:
-            raise RingMismatchError("target has more aux slots")
-        terms = {}
-        for e, c in self.terms.items():
-            if any(e[:drop]):
-                raise ValueError("polynomial still involves aux variables")
-            terms[e[drop:]] = c
-        return Polynomial._raw(target, terms)
-
     # ---- equality / hashing / printing -----------------------------------------
 
     def __eq__(self, other) -> bool:
@@ -403,7 +374,7 @@ class Polynomial:
         return self.ring == other.ring and self.terms == other.terms
 
     def __hash__(self):
-        return hash((self.ring.key(), frozenset(self.terms.items())))
+        return hash((self.ring, frozenset(self.terms.items())))
 
     def canonical_key(self):
         """Hashable, order-deterministic identity (for memo tables)."""
@@ -463,17 +434,17 @@ class _Tokenizer:
                 i += 1
                 col += 1
                 continue
-            if ch.isdigit():
+            if ch in _DIGITS:
                 j = i
-                while j < len(text) and text[j].isdigit():
+                while j < len(text) and text[j] in _DIGITS:
                     j += 1
                 self.tokens.append(("int", text[i:j], ln, col))
                 col += j - i
                 i = j
                 continue
-            if ch.isalpha():
+            if ch in _LETTERS:
                 j = i
-                while j < len(text) and (text[j].isalnum() or text[j] == "_"):
+                while j < len(text) and text[j] in _NAME_CHARS:
                     j += 1
                 self.tokens.append(("name", text[i:j], ln, col))
                 col += j - i

@@ -202,16 +202,16 @@ class IdealPair:
 
 @dataclass(frozen=True)
 class GradeWitness:
-    grade: int
     regular_sequence: tuple
+    grade = property(lambda self: len(self.regular_sequence))
 
 
 @dataclass(frozen=True)
 class CdGradeReport:
     cd: int
     grade: int
-    relative_cm: bool
     regular_sequence: tuple
+    relative_cm = property(lambda self: self.grade == self.cd)
 
     def __post_init__(self):
         if self.grade > self.cd:
@@ -245,9 +245,8 @@ def _principal_cd_grade(pair: IdealPair, block: VariableBlock):
     """(cd, grade) of S/fS for the block P or Q by the closed forms of the
     module docstring, or None unless the pair is cyclic and B has the one
     nonconstant generator f.  The caller has checked that f is
-    bihomogeneous.  A ring with aux slots gets None, since the formulas do
-    not count them."""
-    if block is VariableBlock.M or len(pair.b.gens) != 1 or pair.ring.aux:
+    bihomogeneous."""
+    if block is VariableBlock.M or len(pair.b.gens) != 1:
         return None
     f = pair.b.gens[0]
     if f.is_constant() or not pair.is_cyclic():
@@ -279,7 +278,7 @@ def cd_subquotient(pair: IdealPair, block: VariableBlock) -> int:
 
 def _monomial_grade(pair: IdealPair, block: VariableBlock):
     """grade(block, A/B) for monomial A and B by Koszul homology, or None
-    when A or B is not monomial or the ring has aux slots.
+    when A or B is not monomial.
 
     grade = |V| - max{i : H_i(V; A/B) != 0} for the block variables V
     (Bruns-Herzog 1.6.17).  In degree beta, the Koszul complex of A/B is the
@@ -295,7 +294,7 @@ def _monomial_grade(pair: IdealPair, block: VariableBlock):
     knows that A/B is nonzero, so H_0 = (A/B)/V(A/B) is nonzero too.
     """
     ring = pair.ring
-    if ring.aux or not (pair.a.is_monomial_ideal() and pair.b.is_monomial_ideal()):
+    if not (pair.a.is_monomial_ideal() and pair.b.is_monomial_ideal()):
         return None
     vs = block.variable_indices(ring)
     ws = [i for i in range(ring.nvars) if i not in vs]
@@ -628,7 +627,7 @@ def grade_wrt(
             raise NoRegularFormError(
                 "regular sequence exceeded the block size; inconsistent state"
             )
-    return GradeWitness(len(sequence), tuple(sequence))
+    return GradeWitness(tuple(sequence))
 
 
 def is_relative_cm(pair: IdealPair, block: VariableBlock, seed: int = 0) -> CdGradeReport:
@@ -659,9 +658,4 @@ def is_relative_cm(pair: IdealPair, block: VariableBlock, seed: int = 0) -> CdGr
     else:
         cd, stop = closed
     witness = grade_wrt(pair, block, seed, _stop=stop)
-    return CdGradeReport(
-        cd=cd,
-        grade=witness.grade,
-        relative_cm=witness.grade == cd,
-        regular_sequence=witness.regular_sequence,
-    )
+    return CdGradeReport(cd, witness.grade, witness.regular_sequence)

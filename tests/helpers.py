@@ -2,7 +2,7 @@
 
 The oracles deliberately avoid the code paths they check: membership is
 re-decided by dense exact linear algebra, quotients and saturations can be
-recomputed through the auxiliary-variable elimination route even where the
+recomputed through the elimination of an extra variable even where the
 library would take a combinatorial shortcut, and submodule cds are brute
 forced by enumerating monomials.
 """
@@ -24,7 +24,7 @@ from seqcm.filtration import (
 )
 from seqcm.groebner import (
     Ideal,
-    _eliminate_first_aux,
+    _intersect_by_elimination,
     _intersect_monomials,
     _minimal_monomials,
     _monomial_ideal,
@@ -219,16 +219,10 @@ def dense_membership(f: Polynomial, I: Ideal, max_degree: int = 6) -> bool:
 
 
 def elimination_intersect(I: Ideal, J: Ideal) -> Ideal:
-    """Intersection forced through the auxiliary-variable route (no shortcuts)."""
-    ring = I.ring
+    """Intersection forced through the elimination of t (no shortcuts)."""
     if I.is_zero_ideal() or J.is_zero_ideal():
-        return Ideal.zero(ring)
-    ext = ring.extended(1)
-    t = ext.gen(0)
-    one_minus_t = ext.one() - t
-    gens = [t * g.embedded(ext) for g in I.gens]
-    gens += [one_minus_t * g.embedded(ext) for g in J.gens]
-    return _eliminate_first_aux(ext, gens, ring)
+        return Ideal.zero(I.ring)
+    return _intersect_by_elimination(I, J)
 
 
 def elimination_quotient(I: Ideal, f: Polynomial) -> Ideal:

@@ -12,7 +12,7 @@ CORPUS = Path(__file__).parent / "corpus"
 
 def write_problem(tmp_path, text, name="problem.ring"):
     path = tmp_path / name
-    path.write_text(text)
+    path.write_text(text, encoding="utf-8")
     return str(path)
 
 
@@ -107,6 +107,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, "seqcm", path)
         assert code == 3
         assert "parse error" in err
+
+    @pytest.mark.parametrize("ideal", ["x1*y1^²", "²*x1*y1", "x¹*y1"])
+    def test_non_ascii_digit_is_three(self, tmp_path, capsys, ideal):
+        """str.isdigit accepts '²' and '¹', which int() rejects: the parser
+        reads ASCII digits only, so each is an unexpected character."""
+        path = write_problem(tmp_path, f"ring m=1 n=1 field=QQ\nideal {ideal}\n")
+        code, out, err = run_cli(capsys, "seqcm", path)
+        assert code == 3 and out == ""
+        assert "unexpected character" in err and "Traceback" not in err
 
     def test_denominator_zero_mod_p_is_three(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=1 n=1 field=GF(5)\nideal 1/5*x1*y1\n")
@@ -276,9 +285,9 @@ class TestCommands:
         assert code == 2
 
 
-def verify_tampered(capsys, monkeypatch, path, tamper, *argv):
-    """(exit code, stderr) of ``seqcm seqcm PATH --verify`` with the document
-    changed by ``tamper`` between the run and its check."""
+def verify_tampered(capsys, monkeypatch, path, tamper, *argv, command="seqcm"):
+    """(exit code, stderr) of ``seqcm COMMAND PATH --verify`` with the
+    document changed by ``tamper`` between the run and its check."""
     import seqcm.cli as cli
 
     def tampered_run(*args):
@@ -287,7 +296,7 @@ def verify_tampered(capsys, monkeypatch, path, tamper, *argv):
         return doc
 
     monkeypatch.setattr(cli, "run", tampered_run)
-    code, _, err = run_cli(capsys, "seqcm", path, "--verify", *argv)
+    code, _, err = run_cli(capsys, command, path, "--verify", *argv)
     return code, err
 
 
@@ -466,6 +475,122 @@ class TestVerify:
         )
         assert code == 4
         assert err == f"{path}: verify: ring is not the input ring\n"
+
+    @pytest.mark.parametrize(
+        "name,route",
+        [
+            ("two_planes", "cd-le-1"),
+            ("two_planes", "hypersurface-rank1"),
+            ("two_planes", "guess"),
+            ("quadric_rank2", "monomial-filtration"),
+            ("quadric_rank2", "relative-cm"),
+            ("split_monomial", "unmixed-shortcut"),
+        ],
+    )
+    def test_route_that_does_not_fit_is_four(self, capsys, monkeypatch, name, route):
+        """A route whose decider could not have made the verdict: cd-le-1
+        needs an h0 level then a cyclic one with cds (0, 1), the
+        hypersurface route one generator, the monomial routes a monomial
+        input, relative-cm a single relative CM level, and unmixed-shortcut
+        a single level; no decider has the route 'guess'."""
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: doc["verdict"].update(route=route)
+        )
+        assert code == 4
+        assert err == f"{path}: verify: route {route!r} does not fit the input and levels\n"
+
+    @pytest.mark.parametrize(
+        "name,tamper,message",
+        [
+            ("two_planes", {"cd": 99}, "invariants cd is not 1"),
+            ("quadric_rank2", {"cd": 99}, "invariants cd is not 2"),
+            ("split_binomial", {"cd": 99}, "invariants cd is not 2"),
+            ("split_monomial", {"relative_cm": True}, "invariants relative_cm is not False"),
+            ("quadric_rank2", {"grade": 0}, "invariants grade is not 1"),
+        ],
+        ids=("cd_one_level", "cd_hypersurface", "cd_two_levels", "relative_cm", "grade"),
+    )
+    def test_forged_input_invariant_is_four(
+        self, capsys, monkeypatch, name, tamper, message
+    ):
+        """cd(S/I) is the largest level cd, the last level's; relative_cm is
+        grade == cd; and the single cyclic level of quadric_rank2 is S/I
+        itself, so it has S/I's grade.  split_monomial has two levels, so
+        its grade is not read."""
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: doc["invariants"].update(tamper)
+        )
+        assert code == 4
+        assert err.startswith(f"{path}: verify: {message}\n")
+
+    @pytest.mark.parametrize(
+        "name,offending,message",
+        [
+            ("quadric_rank2", 2, "offending_level is not 1"),
+            ("quadric_rank2", None, "offending_level is not 1"),
+            ("two_planes", 1, "offending_level is not None"),
+        ],
+        ids=("later", "none", "on_true"),
+    )
+    def test_changed_offending_level_is_four(
+        self, capsys, monkeypatch, name, offending, message
+    ):
+        """offending_level is the first level that is not relative CM."""
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path,
+            lambda doc: doc["verdict"].update(offending_level=offending),
+        )
+        assert code == 4
+        assert err == f"{path}: verify: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name,tamper,message",
+        [
+            ("split_binomial", {"a": 2}, "invariants a is not 1"),
+            ("split_binomial", {"b": 0}, "invariants b is not 1"),
+            ("split_binomial", {"cd_P": 1}, "invariants cd_P is not 2"),
+            ("split_binomial", {"grade_P": 2}, "invariants grade_P is not 1"),
+            ("quadric_rank2", {"cd_Q": 3}, "invariants cd_Q is not 2"),
+            ("quadric_rank2", {"grade_Q": 0}, "invariants grade_Q is not 1"),
+        ],
+        ids=("a", "b", "cd_P", "grade_P", "cd_Q", "grade_Q"),
+    )
+    def test_forged_hypersurface_invariant_is_four(
+        self, capsys, monkeypatch, name, tamper, message
+    ):
+        """Bidegree, cd and grade of S/fS are read off f in closed form."""
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: doc["invariants"].update(tamper),
+            command="hypersurface",
+        )
+        assert code == 4
+        assert err == f"{path}: verify: {message}\n"
+
+    @pytest.mark.parametrize(
+        "name,split,message",
+        [
+            ("split_binomial", {"h1": "y1", "h2": "x1 + x2"}, "split h1 is not in x only"),
+            ("split_binomial", {"h1": "x1 + x2", "h2": "y2"}, "split h1·h2 is not the generator"),
+            ("split_binomial", None, "split is not null exactly when decision is false"),
+            ("quadric_rank2", {"h1": "x1", "h2": "y1"},
+             "split is not null exactly when decision is false"),
+            ("split_binomial", {"h1": "x9", "h2": "y1"}, "cannot parse split: unknown variable"),
+        ],
+        ids=("swapped", "product", "null", "set", "unparsable"),
+    )
+    def test_forged_split_is_four(self, capsys, monkeypatch, name, split, message):
+        """A split is h1(x)·h2(y) = f, present exactly on a true decision."""
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: doc.update(split=split),
+            command="hypersurface",
+        )
+        assert code == 4
+        assert err.startswith(f"{path}: verify: {message}")
 
     def test_base_is_compared_as_an_ideal(self):
         """A base written with other generators of the same ideal passes."""

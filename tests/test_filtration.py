@@ -249,6 +249,15 @@ class TestSeqCmRouting:
         assert verdict.route is Route.UNMIXED_SHORTCUT
         assert verdict.offending_level == 1
 
+    def test_offending_level_is_the_first_not_relative_cm(self, R22):
+        """A negative verdict whose first level is relative CM: the level
+        (cd, grade) pairs are (1, 1) and (2, 1), so level 2 offends."""
+        gens = ("x1^2*x2^2*y2", "x1^2*y1*y2^2", "x1*y1^2", "x2*y2^2", "y1^2*y2^2")
+        verdict = is_seq_cm(Ideal(R22, tuple(map(R22.parse, gens))), M)
+        assert [(l.cd, l.grade) for l in verdict.filtration.levels] == [(1, 1), (2, 1)]
+        assert verdict.offending_level == 2 and not verdict.decision
+        assert verdict.route is Route.MONOMIAL_FILTRATION
+
     def test_monomial_chain_certificate(self, R22):
         verdict = is_seq_cm(Ideal(R22, (R22.parse("x1*y1"),)), Q)
         assert verdict.decision

@@ -115,7 +115,6 @@ class TestRankOneSplit:
 
     def test_shared_column_splits(self, R22):
         witness = rank_one_split(R22.parse("x1*y1 + x2*y1"))
-        assert witness.verified
         assert witness.h1 == R22.x(1) + R22.x(2)
         assert witness.h2 == R22.y(1)
 
@@ -130,7 +129,7 @@ class TestRankOneSplit:
             a, b = rng.randint(1, 3), rng.randint(1, 3)
             h1, h2, f = random_split_product(rng, R22, a, b)
             witness = rank_one_split(f)
-            assert witness is not None and witness.verified
+            assert witness is not None
             assert witness.h1 * witness.h2 == f
             assert witness.h2.leading_coefficient() == R22.field.one
 

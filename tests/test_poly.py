@@ -164,6 +164,14 @@ class TestTextSyntax:
         with pytest.raises(ParseError):
             R22.parse("x1 )")
 
+    @pytest.mark.parametrize("text", ["x1*y1^²", "x¹*y1", "x١*y1", "x1*ÿ1"])
+    def test_non_ascii_digits_and_letters_are_refused(self, R22, text):
+        """'١' (Arabic-Indic one) once read as 1, and '²' as a digit that
+        int() then rejected."""
+        with pytest.raises(ParseError, match="unexpected character"):
+            R22.parse(text)
+        assert R22.variable_index("x١") is None
+
     def test_zero_literal(self, R22):
         assert R22.parse("0").is_zero()
 

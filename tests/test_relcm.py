@@ -394,9 +394,7 @@ class TestGradeStopsAtCd:
         """Split, dense, sparse and monomial f of each bidegree with a, b <= 2
         in 2+2, 2+3, 3+2 and 0+2 variables, over QQ and GF(32003): the
         closed-form cd equals cd_wrt, and the grade and regular sequence
-        equal those of the unstopped grade_wrt, for P and Q and two seeds.
-        The formulas do not count aux slots, so t1*y1 in a ring with one
-        keeps the dimension route and still agrees."""
+        equal those of the unstopped grade_wrt, for P and Q and two seeds."""
         rng = random.Random(1010)
         forms = []
         for field in (QQ, PrimeField(32003)):
@@ -406,8 +404,6 @@ class TestGradeStopsAtCd:
                     if a + b:
                         forms += principal_forms(rng, ring, a, b)
         assert len(forms) == 2 * (3 * 8 + 2) * 4
-        aux_ring = BigradedRing(1, 1, aux=1)
-        forms.append(aux_ring.gen(0) * aux_ring.y(1))
         for f in forms:
             I = Ideal(f.ring, (f,))
             pair = IdealPair.cyclic(I)
@@ -592,13 +588,9 @@ class TestMonomialGrade:
                 assert grade_wrt(pair, block, seed).grade == grade
                 assert calls == [block]
 
-    def test_only_monomial_modules_without_aux_slots(self, R22, segre_quadric):
-        aux_ring = BigradedRing(1, 1, aux=1)
-        for pair in (
-            IdealPair.cyclic(Ideal(R22, (segre_quadric,))),
-            IdealPair.cyclic(Ideal(aux_ring, (aux_ring.gen(0) * aux_ring.y(1),))),
-        ):
-            assert _monomial_grade(pair, Q) is None
+    def test_only_monomial_modules(self, segre_quadric):
+        pair = IdealPair.cyclic(Ideal(segre_quadric.ring, (segre_quadric,)))
+        assert _monomial_grade(pair, Q) is None
 
 
 class TestCyclicFirst:
