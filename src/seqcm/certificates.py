@@ -11,6 +11,8 @@ the document fields of each kind; the encoders below write them and
 
 from __future__ import annotations
 
+import json
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -170,13 +172,14 @@ def _filtration_doc(filtration: CMFiltration) -> dict:
     }
 
 
-def _hypersurface_invariants(f, report) -> dict:
+def _hypersurface_invariants(f) -> dict:
     """A hypersurface document's invariants: the bidegree (a, b) of f, and
-    the cd and grade of S/fS for P and Q, read off ``report(block)``."""
+    the cd and grade of S/fS for P and Q in closed form."""
     doc = dict(zip("ab", f.bidegree()))
+    pair = IdealPair.cyclic(Ideal(f.ring, (f,)))
     for block in (VariableBlock.P, VariableBlock.Q):
-        doc[f"cd_{block.value}"] = report(block).cd
-        doc[f"grade_{block.value}"] = report(block).grade
+        cd, grade = _principal_cd_grade(pair, block)
+        doc[f"cd_{block.value}"], doc[f"grade_{block.value}"] = cd, grade
     return doc
 
 
@@ -233,34 +236,58 @@ def _level_problem(spec: VerifySpec, d_i: Ideal, below: Ideal, want, block, seed
     return None if got == want else f"recomputed {got}, document says {want}"
 
 
+class _MissingField(Exception):
+    """The document lacks the field the check reads, the one argument."""
+
+
+class _Fields(dict):
+    """A document object whose missing keys raise :class:`_MissingField`."""
+
+    def __missing__(self, key):
+        raise _MissingField(key)
+
+
+@contextmanager
+def _reading(problems: list, tag: str = ""):
+    """Add a field that the block reads and the document lacks to
+    ``problems`` as one disagreement naming it, once however many blocks
+    read it, and go on after the block."""
+    try:
+        yield
+    except _MissingField as exc:
+        missing = f"{exc.args[0]} is missing"
+        if all(p.rpartition(": ")[2] != missing for p in problems):
+            problems.append(tag + missing)
+
+
 def verify_certificate(doc: dict, ideal: Ideal) -> list:
     """Check a result document against the input ideal it was made from.
 
-    ``ring`` and ``generators`` must be the input's, and the filtration must
-    start at the input ideal and end at (1) with strictly increasing level
-    cds.  Each level's verify record must present the level over the one
-    below it, the chain taken to run from the input ideal to (1), and the
-    level is recomputed from that record alone (:func:`_level_problem`).
-    The verdict's ``offending_level`` and ``decision`` must follow from the
-    levels as a verdict derives them, its ``route`` must fit the input and
-    levels (:func:`_route_fits`), and the top-level invariants must agree
-    with the levels (seqcm) or the input's generator (hypersurface); these
-    last checks compute no basis.
+    ``ring`` and ``generators`` must be the input's.  A ``seqcm`` or
+    ``hypersurface`` document's filtration must then start at the input
+    ideal and end at (1) with strictly increasing level cds.  Each level's
+    verify record must present the level over the one below it, the chain
+    taken to run from the input ideal to (1), and the level is recomputed
+    from that record alone (:func:`_level_problem`).  The verdict's
+    ``offending_level`` and ``decision`` must follow from the levels as a
+    verdict derives them, its ``route`` must fit the input and levels
+    (:func:`_route_fits`), and the top-level invariants must agree with the
+    levels (seqcm) or the input's generator (hypersurface); these last
+    checks compute no basis.  Any other document must be the one its
+    command writes again from its ``generators``, ``block`` and ``seed``
+    (:func:`_recomputed_problems`).
     Ideals are compared as ideals, not as texts.  Each distinct ideal of the
     document is parsed at most once per call, and the input's own generator
     strings are taken to be ``ideal``.
 
     Returns a list of human-readable disagreements (empty when everything
-    checks out), an ideal that does not parse among them.  Only documents
-    carrying a verdict are verified.
+    checks out), among them an ideal that does not parse and each field
+    that the check reads and the document lacks.
     """
-    verdict = doc.get("verdict")
-    if verdict is None:
-        return []
+    doc = json.loads(json.dumps(doc), object_hook=_Fields)
     ring = ideal.ring
-    block = VariableBlock.from_tag(doc["block"])
-    seed = doc["seed"]
     parsed = {ideal.generator_strings(): ideal}
+    problems = []
 
     def parse(gens) -> Ideal:
         key = tuple(gens)
@@ -268,61 +295,110 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
             parsed[key] = Ideal(ring, [parse_polynomial(ring, g) for g in key])
         return parsed[key]
 
-    problems = [] if doc["ring"] == _ring_doc(ring) else ["ring is not the input ring"]
-    filtration = verdict["filtration"]
-    levels = filtration["levels"]
-    last = levels[-1]["ideal"] if levels else ()
-    for name, gens, holds, claim in (
-        ("generators", doc["generators"], ideal.equals, "are not the input ideal"),
-        ("filtration base", filtration["base"], ideal.equals, "is not the input ideal"),
-        ("last level ideal", last, Ideal.is_unit_ideal, "is not (1)"),
-    ):
-        try:
-            if not holds(parse(gens)):
-                problems.append(f"{name} {claim}")
-        except SeqcmError as exc:
-            problems.append(f"cannot parse {name}: {exc}")
-    cds = [level["cd"] for level in levels]
-    if any(c2 <= c1 for c1, c2 in zip(cds, cds[1:])):
-        problems.append(f"level cds {cds} not strictly increasing")
+    def check(name: str, read, holds, claim: str) -> None:
+        """A disagreement unless the ideal that ``read()`` gives parses and holds."""
+        with _reading(problems):
+            try:
+                if not holds(parse(read())):
+                    problems.append(f"{name} {claim}")
+            except SeqcmError as exc:
+                problems.append(f"cannot parse {name}: {exc}")
+
+    with _reading(problems):
+        if doc["ring"] != _ring_doc(ring):
+            problems.append("ring is not the input ring")
+    check("generators", lambda: doc["generators"], ideal.equals, "are not the input ideal")
+    block = seed = None
+    with _reading(problems):
+        block = VariableBlock.from_tag(doc["block"])
+    with _reading(problems):
+        seed = doc["seed"]
+    if doc.get("command") not in ("seqcm", "hypersurface"):
+        with _reading(problems):
+            if not problems:  # the document's input is the file's
+                problems += _recomputed_problems(doc, parse(doc["generators"]), block, seed)
+        return problems
+    try:
+        verdict = doc["verdict"]
+        filtration = verdict["filtration"]
+        levels = filtration["levels"]
+    except _MissingField as exc:
+        return problems + [f"{exc.args[0]} is missing"]
+    check("filtration base", lambda: filtration["base"], ideal.equals, "is not the input ideal")
+    check("last level ideal", lambda: levels[-1]["ideal"] if levels else (),
+          Ideal.is_unit_ideal, "is not (1)")
+    with _reading(problems):
+        cds = [level["cd"] for level in levels]
+        if any(c2 <= c1 for c1, c2 in zip(cds, cds[1:])):
+            problems.append(f"level cds {cds} not strictly increasing")
     ends = {0: ideal, len(levels): Ideal.unit(ring)}  # D_0 and D_n, checked above
     for index, level in enumerate(levels, start=1):
-        record = level["verify"]
-        tag = f"level {level['level']}"
-        names = VERIFY_FIELDS.get(record["kind"])
-        if names is None:
-            problems.append(f"{tag}: unknown verify kind {record['kind']!r}")
-            continue
-        want = (level["cd"], level["grade"], level["relative_cm"])
-        try:
-            spec = VerifySpec(record["kind"], tuple(parse(record[n]) for n in names))
-            d_i = ends.get(index) or parse(level["ideal"])
-            below = ends.get(index - 1) or parse(levels[index - 2]["ideal"])
-            problem = _level_problem(spec, d_i, below, want, block, seed)
-        except (SeqcmError, ValueError) as exc:
-            problem = f"recheck raised {exc}"
-        if problem is not None:
-            problems.append(f"{tag}: {problem}")
-    offending = _first_failing_level(level["relative_cm"] for level in levels)
-    want = {"offending_level": offending, "decision": offending is None}
-    problems += [
-        f"{key} is not {value}" for key, value in want.items() if verdict[key] != value
-    ]
-    if not _route_fits(verdict["route"], ideal, levels):
-        problems.append(f"route {verdict['route']!r} does not fit the input and levels")
+        tag = f"level {index}: "
+        with _reading(problems, tag):
+            record = level["verify"]
+            names = VERIFY_FIELDS.get(record["kind"])
+            if names is None:
+                problems.append(f"{tag}unknown verify kind {record['kind']!r}")
+                continue
+            want = (level["cd"], level["grade"], level["relative_cm"])
+            if None in (block, seed):
+                continue  # reported above
+            try:
+                spec = VerifySpec(record["kind"], tuple(parse(record[n]) for n in names))
+                d_i = ends.get(index) or parse(level["ideal"])
+                below = ends.get(index - 1) or parse(levels[index - 2]["ideal"])
+                problem = _level_problem(spec, d_i, below, want, block, seed)
+            except (SeqcmError, ValueError) as exc:
+                problem = f"recheck raised {exc}"
+            if problem is not None:
+                problems.append(tag + problem)
+    with _reading(problems):
+        offending = _first_failing_level(level["relative_cm"] for level in levels)
+        for key, value in {"offending_level": offending, "decision": offending is None}.items():
+            with _reading(problems):
+                if verdict[key] != value:
+                    problems.append(f"{key} is not {value}")
+    with _reading(problems):
+        if not _route_fits(verdict["route"], ideal, levels):
+            problems.append(f"route {verdict['route']!r} does not fit the input and levels")
     if doc["command"] == "hypersurface":
-        return problems + _hypersurface_problems(doc, ideal)
-    invariants = doc["invariants"]
-    # cd depends only on the support, the union of the levels' supports.
-    want = {"cd": levels[-1]["cd"]} if levels else {}
-    want["relative_cm"] = invariants["grade"] == invariants["cd"]
-    if len(levels) == 1 and levels[0]["verify"]["kind"] == "cyclic":  # S/I itself
-        want["grade"] = levels[0]["grade"]
-    return problems + [
-        f"invariants {key} is not {value}"
-        for key, value in want.items()
-        if invariants[key] != value
-    ]
+        _hypersurface_problems(doc, ideal, problems)
+        return problems
+    with _reading(problems):
+        invariants = doc["invariants"]
+        # cd depends only on the support, the union of the levels' supports.
+        want = {"cd": levels[-1]["cd"]} if levels else {}
+        want["relative_cm"] = invariants["grade"] == invariants["cd"]
+        if len(levels) == 1 and levels[0]["verify"]["kind"] == "cyclic":  # S/I itself
+            want["grade"] = levels[0]["grade"]
+        problems += [
+            f"invariants {key} is not {value}"
+            for key, value in want.items()
+            if invariants[key] != value
+        ]
+    return problems
+
+
+def _recomputed_problems(doc: dict, generators: Ideal, block, seed) -> list:
+    """Each field of a document without a verdict that is not what its
+    command writes again from ``generators``, ``block`` and ``seed``.  The
+    fields compared with the input are skipped, and so are ``file`` and
+    ``input_sha256``, a hash of file text that the check is not given."""
+    from .cli import ProblemFile, run  # imported here: cli imports this module
+
+    problem = ProblemFile(generators.ring, generators, seed, block, text="")
+    try:
+        fresh = run(doc["command"], problem, block, seed)
+    except (SeqcmError, ValueError) as exc:
+        return [f"recheck raised {exc}"]
+    problems = []
+    for key in sorted((doc.keys() | fresh.keys()) - {"file", "input_sha256", "ring", "generators"}):
+        if key not in doc:
+            problems.append(f"{key} is missing")
+        elif doc[key] != fresh.get(key):
+            value = json.dumps(fresh.get(key), sort_keys=True)
+            problems.append(f"{key} is not the recomputed {value}")
+    return problems
 
 
 def _route_fits(route: str, ideal: Ideal, levels: list) -> bool:
@@ -343,34 +419,36 @@ def _route_fits(route: str, ideal: Ideal, levels: list) -> bool:
     }.get(route, False)
 
 
-def _hypersurface_problems(doc: dict, ideal: Ideal) -> list:
-    """A hypersurface document's invariants and split, read against the
-    input's generator f: its bidegree, cd and grade of S/fS in closed form,
-    and a split h1(x)·h2(y) = f, null exactly when the decision is false."""
+def _hypersurface_problems(doc: dict, ideal: Ideal, problems: list) -> None:
+    """Add to ``problems`` what is wrong with a hypersurface document's
+    invariants and split, read against the input's generator f: its
+    bidegree, cd and grade of S/fS in closed form, and a split
+    h1(x)·h2(y) = f, null exactly when the decision is false."""
     if len(ideal.gens) != 1:
-        return []  # the route check reports it
-    (f,), ring, pair = ideal.gens, ideal.ring, IdealPair.cyclic(ideal)
-    want = _hypersurface_invariants(
-        f, lambda block: CdGradeReport(*_principal_cd_grade(pair, block), ())
-    )
-    problems = [
-        f"invariants {key} is not {value}"
-        for key, value in want.items()
-        if doc["invariants"][key] != value
-    ]
-    split = doc["split"]
-    if (split is None) == doc["verdict"]["decision"]:
-        return problems + ["split is not null exactly when decision is false"]
-    if split is None:
-        return problems
-    try:
-        h1, h2 = (parse_polynomial(ring, split[key]) for key in ("h1", "h2"))
-    except SeqcmError as exc:
-        return problems + [f"cannot parse split: {exc}"]
-    if not h1.support_variables() <= set(ring.x_range):
-        problems.append("split h1 is not in x only")
-    if not h2.support_variables() <= set(ring.y_range):
-        problems.append("split h2 is not in y only")
-    if h1 * h2 != f:
-        problems.append("split h1·h2 is not the generator")
-    return problems
+        return  # the route check reports it
+    (f,), ring = ideal.gens, ideal.ring
+    with _reading(problems):
+        invariants = doc["invariants"]
+        problems += [
+            f"invariants {key} is not {value}"
+            for key, value in _hypersurface_invariants(f).items()
+            if invariants[key] != value
+        ]
+    with _reading(problems):
+        split = doc["split"]
+        if (split is None) == doc["verdict"]["decision"]:
+            problems.append("split is not null exactly when decision is false")
+            return
+        if split is None:
+            return
+        try:
+            h1, h2 = (parse_polynomial(ring, split[key]) for key in ("h1", "h2"))
+        except SeqcmError as exc:
+            problems.append(f"cannot parse split: {exc}")
+            return
+        if not h1.support_variables() <= set(ring.x_range):
+            problems.append("split h1 is not in x only")
+        if not h2.support_variables() <= set(ring.y_range):
+            problems.append("split h2 is not in y only")
+        if h1 * h2 != f:
+            problems.append("split h1·h2 is not the generator")

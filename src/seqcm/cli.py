@@ -7,9 +7,11 @@ Problem files describe a ring and an ideal:
     ideal x1*y1 + x2*y2
     options seed=0 block=Q
 
-Statements may also be packed on one line separated by '/'.  Every command
-emits a machine-readable result document (deterministic for a fixed input
-and seed) and uses the exit codes
+Statements may also be packed on one line separated by '/'.  The keys of
+``ring`` and ``options`` and the reader of each are in ``_HEADER_KEYS``; an
+unknown, repeated or ill-formed assignment is a parse error at its own line
+and column.  Every command emits a machine-readable result document
+(deterministic for a fixed input and seed) and uses the exit codes
 
     0  the computation finished (negative mathematical verdicts included)
     2  the ideal class is not supported by the requested command (cd,
@@ -23,9 +25,9 @@ and seed) and uses the exit codes
 
 ``--verify`` checks the emitted document against the parsed input with
 :func:`seqcm.certificates.verify_certificate`, which owns the certificate's
-document format.  Files are processed in sorted order, and a batch stops at
-the first file that fails: its code is returned and the later files are not
-read.
+document format and recomputes a document without a verdict.  Files are
+processed in sorted order, and a batch stops at the first file that fails:
+its code is returned and the later files are not read.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import argparse
 import functools
 import hashlib
 import json
+import re
 import sys
 from dataclasses import dataclass
 
@@ -49,7 +52,7 @@ from .errors import (
     ZeroModuleError,
     ZeroPolynomialError,
 )
-from .fields import field_from_name
+from .fields import QQ, field_from_name
 from .filtration import (
     dimension_filtration,
     is_seq_cm,
@@ -111,58 +114,75 @@ def _statements(text: str):
     """
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0]
-        start = 0
-        cuts = [
-            i
-            for i in range(1, len(line) - 1)
-            if line[i] == "/" and line[i - 1].isspace() and line[i + 1].isspace()
-        ]
-        for cut in cuts + [len(line)]:
-            chunk = line[start:cut]
-            stripped = chunk.strip()
-            if stripped:
-                yield stripped, lineno, start + 1 + len(chunk) - len(chunk.lstrip())
-            start = cut + 1
+        # a statement is a run of characters that are not such a '/'
+        for match in re.finditer(r"(?:(?!(?<=\s)/(?=\s)).)+", line):
+            chunk = match.group()
+            if chunk.strip():
+                yield chunk.strip(), lineno, match.end() - len(chunk.lstrip()) + 1
 
 
-def _parse_assignments(body: str, line: int, col: int) -> dict:
-    out = {}
-    cursor = col
-    for token in body.split():
-        if "=" not in token:
-            raise ParseError(f"expected key=value, found {token!r}", line, cursor)
-        key, _, value = token.partition("=")
-        out[key] = (value, line, cursor)
-        cursor += len(token) + 1
-    return out
+def _ascii_integer(pattern: str, name: str):
+    """The reader of integers whose text matches ``pattern`` in full, which
+    int() alone does not enforce: it takes '٢', '1_0' and '+1'.  argparse
+    names a reader that refuses a value by its ``__name__``."""
+
+    def read(text: str) -> int:
+        if re.fullmatch(pattern, text) is None:
+            raise ValueError(f"{name} must match {pattern}, found {text!r}")
+        return int(text)
+
+    read.__name__ = name
+    return read
+
+
+_read_seed = _ascii_integer("-?[0-9]+", "seed")
+_read_size = _ascii_integer("[0-9]+", "ring size")
+
+# The keys each header statement allows, with the reader of each key's value.
+# A reader raises ValueError on a value it does not accept.
+_HEADER_KEYS = {
+    "ring": {"m": _read_size, "n": _read_size, "field": field_from_name},
+    "options": {"seed": _read_seed, "block": VariableBlock.from_tag},
+}
+
+
+def _header(keyword: str, body: str, line: int, col: int, values: dict) -> None:
+    """Read the ``key=value`` assignments of a header statement whose body
+    starts at ``col`` into ``values``; an unknown, repeated or ill-formed
+    assignment is a :class:`ParseError` at its own position."""
+    readers = _HEADER_KEYS[keyword]
+    for match in re.finditer(r"\S+", body):
+        token, at = match.group(), col + match.start()
+        key, eq, text = token.partition("=")
+        if not eq:
+            raise ParseError(f"expected key=value, found {token!r}", line, at)
+        if key not in readers:
+            expected = ", ".join(readers)
+            raise ParseError(f"unknown {keyword} key {key!r}; expected {expected}", line, at)
+        if key in values:
+            raise ParseError(f"repeated {keyword} key {key!r}", line, at)
+        try:
+            values[key] = readers[key](text)
+        except ValueError as exc:
+            raise ParseError(str(exc), line, at) from None
 
 
 def parse_problem(text: str) -> ProblemFile:
     ring = None
     ideal_gens = None
-    seed = None
-    block = None
+    options = {}
     for statement, line, col in _statements(text):
         keyword, _, body = statement.partition(" ")
         body_col = col + len(keyword) + 1
         if keyword == "ring":
             if ring is not None:
                 raise ParseError("duplicate ring statement", line, col)
-            fields = _parse_assignments(body, line, body_col)
+            sizes = {}
+            _header(keyword, body, line, body_col, sizes)
             try:
-                m = int(fields["m"][0])
-                n = int(fields["n"][0])
+                ring = BigradedRing(sizes["m"], sizes["n"], sizes.get("field", QQ))
             except KeyError as missing:
                 raise ParseError(f"ring needs {missing.args[0]}=...", line, col)
-            except ValueError:
-                raise ParseError("ring sizes must be integers", line, body_col)
-            field_name = fields.get("field", ("QQ", line, body_col))[0]
-            try:
-                field = field_from_name(field_name)
-            except ValueError as exc:
-                raise ParseError(str(exc), line, fields["field"][2])
-            try:
-                ring = BigradedRing(m, n, field)
             except ValueError as exc:
                 raise ParseError(str(exc), line, body_col)
         elif keyword == "ideal":
@@ -170,28 +190,13 @@ def parse_problem(text: str) -> ProblemFile:
                 raise ParseError("ideal statement before ring statement", line, col)
             if ideal_gens is not None:
                 raise ParseError("duplicate ideal statement", line, col)
-            ideal_gens = []
-            cursor = body_col
-            for chunk in body.split(","):
-                if chunk.strip():
-                    ideal_gens.append(
-                        parse_polynomial(ring, chunk, line, cursor)
-                    )
-                cursor += len(chunk) + 1
+            ideal_gens = [
+                parse_polynomial(ring, chunk.group(), line, body_col + chunk.start())
+                for chunk in re.finditer("[^,]+", body)
+                if chunk.group().strip()
+            ]
         elif keyword == "options":
-            fields = _parse_assignments(body, line, body_col)
-            if "seed" in fields:
-                value, ln, cl = fields["seed"]
-                try:
-                    seed = int(value)
-                except ValueError:
-                    raise ParseError("seed must be an integer", ln, cl)
-            if "block" in fields:
-                value, ln, cl = fields["block"]
-                try:
-                    block = VariableBlock.from_tag(value)
-                except ValueError as exc:
-                    raise ParseError(str(exc), ln, cl)
+            _header(keyword, body, line, body_col, options)
         else:
             raise ParseError(f"unknown statement {keyword!r}", line, col)
     if ring is None:
@@ -201,8 +206,8 @@ def parse_problem(text: str) -> ProblemFile:
     return ProblemFile(
         ring=ring,
         ideal=Ideal(ring, ideal_gens),
-        seed=seed,
-        block=block,
+        seed=options.get("seed"),
+        block=options.get("block"),
         text=text,
     )
 
@@ -288,7 +293,7 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
         stats = hypersurface_stats(f, seed)
         verdict = classify_hypersurface(f, block, seed, _report=stats)
         split = stats.split
-        doc["invariants"].update(_hypersurface_invariants(f, stats.report))
+        doc["invariants"].update(_hypersurface_invariants(f))
         doc["split"] = (
             {"h1": str(split.h1), "h2": str(split.h2)} if split is not None else None
         )
@@ -363,7 +368,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("files", nargs="+", help="problem files")
         p.add_argument("--wrt", choices=["P", "Q", "m"], default=None,
                        help="variable block (default Q, or the file's options)")
-        p.add_argument("--seed", type=int, default=None,
+        p.add_argument("--seed", type=_read_seed, default=None,
                        help="seed for randomized searches (default 0)")
         p.add_argument("--format", choices=["text", "json"], default="text")
         p.add_argument("--verify", action="store_true",

@@ -13,6 +13,7 @@ randomized searches fail spuriously.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -161,9 +162,11 @@ QQ = RationalField()
 
 
 def field_from_name(name: str):
-    """Inverse of the ``field.name`` labels used in problem files."""
+    """Inverse of the ``field.name`` labels used in problem files: ``QQ``,
+    or ``GF(p)`` with p in ASCII digits."""
     if name == "QQ":
         return QQ
-    if name.startswith("GF(") and name.endswith(")"):
-        return PrimeField(int(name[3:-1]))
+    prime = re.fullmatch(r"GF\(([0-9]+)\)", name)
+    if prime is not None:
+        return PrimeField(int(prime[1]))
     raise ValueError(f"unknown field {name!r}")

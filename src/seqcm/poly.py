@@ -12,14 +12,16 @@ laid out x1..xm then y1..yn, and its term order is grevlex on that layout
 
 Text syntax: terms joined by ``+``/``-``, ``*`` for products, ``^`` for
 powers, variables ``x1..xm``/``y1..yn``, integer or ``p/q`` coefficients,
-parentheses allowed.  Text is ASCII: digits are 0-9 and names are ASCII
-letters, digits and ``_``, so any other digit or letter is an unexpected
-character.  Printing is canonical: terms in descending default order, exact
+parentheses allowed.  One token table (``_TOKEN``) reads the text: a
+number is ``[0-9]+``, a name ``[A-Za-z][A-Za-z0-9_]*`` and a variable name
+``[xy][0-9]+``, so any other digit or letter is an unexpected character.
+Printing is canonical: terms in descending default order, exact
 coefficients, so printing then parsing is the identity.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import add, le, sub
@@ -39,11 +41,7 @@ Monomial = tuple  # exponent tuple, one nonnegative int per ring variable
 # frames of the recursive-descent parser, so deeper input would exhaust the
 # interpreter's recursion limit instead of raising a ParseError.
 MAX_NESTING = 100
-# The characters of numbers and names.  str.isdigit and str.isalnum would
-# also accept characters such as '²', which int() then rejects.
-_DIGITS = frozenset("0123456789")
-_LETTERS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ")
-_NAME_CHARS = _DIGITS | _LETTERS | {"_"}
+_VARIABLE = re.compile(r"([xy])([0-9]+)")
 
 
 # The four hot helpers map C-level operators over the tuples: on 8-variable
@@ -119,11 +117,11 @@ class BigradedRing:
 
     def variable_index(self, name: str) -> int | None:
         """Index of ``x<i>``/``y<j>`` or None if out of range / unknown."""
-        digits = name[1:]
-        if name[:1] not in ("x", "y") or not digits or not _DIGITS.issuperset(digits):
+        match = _VARIABLE.fullmatch(name)
+        if match is None:
             return None
-        i = int(digits)
-        if name[0] == "x":
+        i = int(match[2])
+        if match[1] == "x":
             return i - 1 if 1 <= i <= self.m else None
         return self.m + i - 1 if 1 <= i <= self.n else None
 
@@ -344,20 +342,20 @@ class Polynomial:
     def substitute_variable(self, index: int, replacement: "Polynomial") -> "Polynomial":
         """Substitute ``replacement`` for the variable at ``index``."""
         self._check_ring(replacement)
-        powers = {1: replacement}
-
-        def power(k):
-            if k not in powers:
-                powers[k] = power(k - 1) * replacement
-            return powers[k]
-
+        # replacement^k for each exponent k of the variable, built upward in
+        # one loop, so that a high power needs no deep recursion.
+        powers, power, have = {}, replacement, 1
+        for wanted in sorted({e[index] for e in self.terms if e[index]}):
+            while have < wanted:
+                power, have = power * replacement, have + 1
+            powers[wanted] = power
         out = {}
         for e, c in self.terms.items():
             k = e[index]
             if k:
                 base = e[:index] + (0,) + e[index + 1 :]
                 images = [
-                    (mono_mul(pe, base), c * pc) for pe, pc in power(k).terms.items()
+                    (mono_mul(pe, base), c * pc) for pe, pc in powers[k].terms.items()
                 ]
             else:
                 images = [(e, c)]
@@ -418,125 +416,86 @@ class Polynomial:
 # ---- parsing -------------------------------------------------------------------
 
 
-class _Tokenizer:
-    """Tokens with 1-based line/column positions."""
+# One alternative per token kind, tried in order.  Numbers and names are
+# ASCII: str.isdigit and str.isalnum would also accept characters such as
+# '²', which int() then rejects.  Any other character is a "bad" token.
+_TOKEN = re.compile(
+    r"(?P<int>[0-9]+)|(?P<name>[A-Za-z][A-Za-z0-9_]*)|(?P<op>[-+*/^()])"
+    r"|(?P<newline>\n)|(?P<space>\s)|(?P<bad>.)",
+    re.DOTALL,
+)
 
-    def __init__(self, text: str, line: int = 1, column: int = 1):
-        self.tokens = []
-        i, ln, col = 0, line, column
-        while i < len(text):
-            ch = text[i]
-            if ch == "\n":
-                ln, col = ln + 1, 1
-                i += 1
-                continue
-            if ch.isspace():
-                i += 1
-                col += 1
-                continue
-            if ch in _DIGITS:
-                j = i
-                while j < len(text) and text[j] in _DIGITS:
-                    j += 1
-                self.tokens.append(("int", text[i:j], ln, col))
-                col += j - i
-                i = j
-                continue
-            if ch in _LETTERS:
-                j = i
-                while j < len(text) and text[j] in _NAME_CHARS:
-                    j += 1
-                self.tokens.append(("name", text[i:j], ln, col))
-                col += j - i
-                i = j
-                continue
-            if ch in "+-*/^()":
-                self.tokens.append(("op", ch, ln, col))
-                i += 1
-                col += 1
-                continue
-            raise ParseError(f"unexpected character {ch!r}", ln, col)
-        self.tokens.append(("end", "", ln, col))
-        self.pos = 0
 
-    def peek(self):
-        return self.tokens[self.pos]
-
-    def next(self):
-        tok = self.tokens[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect_op(self, op):
-        kind, val, ln, col = self.next()
-        if kind != "op" or val != op:
-            raise ParseError(f"expected {op!r}, found {val!r}", ln, col)
+def _tokens(text: str, line: int, column: int) -> list:
+    """(kind, text, line, column) of each token of ``text``, 1-based, then
+    an ``end`` token; ``text`` starts at ``line`` and ``column``."""
+    tokens = []
+    origin = 1 - column  # the offset of column 1 on the current line
+    for match in _TOKEN.finditer(text):
+        kind, col = match.lastgroup, match.start() - origin + 1
+        if kind == "newline":
+            line, origin = line + 1, match.end()
+        elif kind == "bad":
+            raise ParseError(f"unexpected character {match.group()!r}", line, col)
+        elif kind != "space":
+            tokens.append((kind, match.group(), line, col))
+    tokens.append(("end", "", line, len(text) - origin + 1))
+    return tokens
 
 
 def parse_polynomial(
     ring: BigradedRing, text: str, line: int = 1, column: int = 1
 ) -> Polynomial:
     """Parse the textual polynomial syntax; raises :class:`ParseError` with position."""
-    tz = _Tokenizer(text, line, column)
+    tokens = _tokens(text, line, column)[::-1]  # the next token is the last
     depth = 0  # parentheses open around the current atom
 
+    def take(*ops) -> str | None:
+        """Pop the next token and return its text if it is one of ``ops``."""
+        kind, val, _, _ = tokens[-1]
+        if kind == "op" and val in ops:
+            tokens.pop()
+            return val
+        return None
+
     def parse_expr() -> Polynomial:
-        kind, val, _, _ = tz.peek()
-        negate = False
-        if kind == "op" and val in "+-":
-            tz.next()
-            negate = val == "-"
-        acc = parse_term()
-        if negate:
-            acc = -acc
-        while True:
-            kind, val, _, _ = tz.peek()
-            if kind == "op" and val in "+-":
-                tz.next()
-                rhs = parse_term()
-                acc = acc - rhs if val == "-" else acc + rhs
-            else:
-                return acc
+        acc, op = ring.zero(), take("+", "-") or "+"
+        while op:
+            rhs = parse_term()
+            acc = acc - rhs if op == "-" else acc + rhs
+            op = take("+", "-")
+        return acc
 
     def parse_term() -> Polynomial:
         acc = parse_factor()
-        while True:
-            kind, val, _, _ = tz.peek()
-            if kind == "op" and val == "*":
-                tz.next()
-                acc = acc * parse_factor()
-            else:
-                return acc
+        while take("*"):
+            acc = acc * parse_factor()
+        return acc
 
     def parse_factor() -> Polynomial:
         base = parse_atom()
-        kind, val, _, _ = tz.peek()
-        if kind == "op" and val == "^":
-            tz.next()
-            kind, val, ln, col = tz.next()
-            if kind != "int":
-                raise ParseError("exponent must be a nonnegative integer", ln, col)
-            return base ** int(val)
-        return base
+        if not take("^"):
+            return base
+        kind, val, ln, col = tokens.pop()
+        if kind != "int":
+            raise ParseError("exponent must be a nonnegative integer", ln, col)
+        return base ** int(val)
 
     def parse_atom() -> Polynomial:
         nonlocal depth
-        kind, val, ln, col = tz.next()
+        kind, val, ln, col = tokens.pop()
         if kind == "int":
-            num = int(val)
-            kind2, val2, _, _ = tz.peek()
-            if kind2 == "op" and val2 == "/":
-                tz.next()
-                kind3, val3, ln3, col3 = tz.next()
-                if kind3 != "int" or int(val3) == 0:
-                    raise ParseError("denominator must be a nonzero integer", ln3, col3)
-                try:
-                    return ring.constant(Fraction(num, int(val3)))
-                except ValueError:  # the denominator vanishes in GF(p)
-                    raise ParseError(
-                        f"denominator {val3} is not invertible in {ring.field.name}", ln3, col3
-                    ) from None
-            return ring.constant(num)
+            if not take("/"):
+                return ring.constant(int(val))
+            kind2, val2, ln2, col2 = tokens.pop()
+            if kind2 != "int" or int(val2) == 0:
+                raise ParseError("denominator must be a nonzero integer", ln2, col2)
+            try:
+                return ring.constant(Fraction(int(val), int(val2)))
+            except ValueError:  # the denominator vanishes in GF(p)
+                raise ParseError(
+                    f"denominator {val2} is not invertible in {ring.field.name}", ln2, col2
+                ) from None
         if kind == "name":
             idx = ring.variable_index(val)
             if idx is None:
@@ -551,13 +510,15 @@ def parse_polynomial(
                 raise ParseError(f"parentheses nested deeper than {MAX_NESTING}", ln, col)
             depth += 1
             inner = parse_expr()
-            tz.expect_op(")")
+            kind, val, ln, col = tokens.pop()
+            if kind != "op" or val != ")":
+                raise ParseError(f"expected ')', found {val!r}", ln, col)
             depth -= 1
             return inner
         raise ParseError(f"expected a coefficient, variable, or '(', found {val!r}", ln, col)
 
     result = parse_expr()
-    kind, val, ln, col = tz.peek()
+    kind, val, ln, col = tokens[-1]
     if kind != "end":
         raise ParseError(f"trailing input {val!r}", ln, col)
     return result

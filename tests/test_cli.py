@@ -117,6 +117,46 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert "unexpected character" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "header,message,column",
+        [
+            ("ring m=٢ n=1", "ring size must match [0-9]+, found '٢'", 6),
+            ("ring m=1_0 n=1", "ring size must match [0-9]+, found '1_0'", 6),
+            ("ring m=1 n=1 field=GF(١٣)", "unknown field 'GF(١٣)'", 14),
+            ("ring m=1 n=1 field=GF(1_3)", "unknown field 'GF(1_3)'", 14),
+            ("ring m=1 n=1 field=GF(+13)", "unknown field 'GF(+13)'", 14),
+            ("ring m=1 n=1 feild=GF(2)", "unknown ring key 'feild'; expected m, n, field", 14),
+            ("ring m=1 n=1 m=3", "repeated ring key 'm'", 14),
+            ("ring m=1 n=1 / options sede=3",
+             "unknown options key 'sede'; expected seed, block", 24),
+            ("ring m=1 n=1 / options blok=P",
+             "unknown options key 'blok'; expected seed, block", 24),
+            ("ring m=1 n=1 / options seed=1 seed=2", "repeated options key 'seed'", 31),
+            ("ring m=1 n=1 / options seed=+3", "seed must match -?[0-9]+, found '+3'", 24),
+        ],
+        ids=(
+            "m_arabic_indic", "m_underscore", "p_arabic_indic", "p_underscore", "p_plus",
+            "unknown_ring_key", "repeated_ring_key", "unknown_options_key_seed",
+            "unknown_options_key_block", "repeated_options_key", "seed_plus",
+        ),
+    )
+    def test_bad_header_assignment_is_three(self, tmp_path, capsys, header, message, column):
+        """Each header key has one reader: m, n and seed are ASCII digits,
+        which int() alone does not enforce, and a key that is unknown or
+        repeated is refused rather than dropped."""
+        path = write_problem(tmp_path, f"{header}\nideal x1*y1\n")
+        code, out, err = run_cli(capsys, "cd", path)
+        assert code == 3 and out == ""
+        assert err == f"{path}: parse error: {message} (line 1, column {column})\n"
+
+    @pytest.mark.parametrize("seed", ["٣", "1_0", "abc"])
+    def test_seed_flag_takes_ascii_digits(self, tmp_path, capsys, seed):
+        path = write_problem(tmp_path, "ring m=1 n=1\nideal x1*y1\n")
+        with pytest.raises(SystemExit) as exit_:
+            main(["cd", path, "--seed", seed])
+        assert exit_.value.code == 2
+        assert f"argument --seed: invalid seed value: '{seed}'" in capsys.readouterr().err
+
     def test_denominator_zero_mod_p_is_three(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=1 n=1 field=GF(5)\nideal 1/5*x1*y1\n")
         code, out, err = run_cli(capsys, "seqcm", path)
@@ -167,17 +207,41 @@ class TestExitCodes:
         assert json.loads(out)["block"] == "P"
 
 
-    def test_exhausted_search_is_five(self, tmp_path, capsys):
+    @pytest.mark.parametrize("command", ["relcm", "seqcm", "grade"])
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "ring m=1 n=2 field=GF(2)\nideal x1*y1*y2*(y1+y2)\n",
+            "ring m=2 n=2 field=GF(2)\nideal x1*y1*y2*(y1+y2), x2*y1*y2*(y1+y2)\n",
+        ],
+        ids=("principal", "two_generators"),
+    )
+    def test_exhausted_search_is_five(self, tmp_path, capsys, text, command):
         """Over GF(2) every linear y-form divides y1*y2*(y1+y2), so the
-        regular-form search runs out of its budget."""
-        path = write_problem(
-            tmp_path, "ring m=1 n=2 field=GF(2)\nideal x1*y1*y2*(y1+y2)\n"
-        )
-        code, out, err = run_cli(capsys, "relcm", path, "--wrt", "Q")
+        regular-form search runs out of its budget.  The second input is
+        neither principal nor monomial, so no closed form answers it."""
+        path = write_problem(tmp_path, text)
+        code, out, err = run_cli(capsys, command, path, "--wrt", "Q")
         assert code == 5
         assert out == ""
         assert err.startswith(f"{path}: undecided: ") and err.count("\n") == 1
         assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "text,command",
+        [
+            ("ring m=1 n=1\nideal x1^1500*y1\n", "grade"),
+            ("ring m=2 n=1\nideal x1^1500*y1 + x2^1500*y1\n", "seqcm"),
+        ],
+        ids=("grade", "seqcm"),
+    )
+    def test_high_power_substitution_is_zero(self, tmp_path, capsys, text, command):
+        """Substituting for x1 in x1^1500 builds 1500 powers, which one
+        recursion frame per power would not reach."""
+        path = write_problem(tmp_path, text)
+        code, out, err = run_cli(capsys, command, path, "--wrt", "P", "--verify")
+        assert code == 0 and err == ""
+        assert out.endswith("verified: certificate levels recomputed and agree\n")
 
     def test_failed_verify_is_four(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
@@ -290,12 +354,11 @@ def verify_tampered(capsys, monkeypatch, path, tamper, *argv, command="seqcm"):
     document changed by ``tamper`` between the run and its check."""
     import seqcm.cli as cli
 
-    def tampered_run(*args):
-        doc = run(*args)
+    def tampered_verify(doc, ideal):
         tamper(doc)
-        return doc
+        return verify_certificate(doc, ideal)
 
-    monkeypatch.setattr(cli, "run", tampered_run)
+    monkeypatch.setattr(cli, "verify_certificate", tampered_verify)
     code, _, err = run_cli(capsys, command, path, "--verify", *argv)
     return code, err
 
@@ -591,6 +654,82 @@ class TestVerify:
         )
         assert code == 4
         assert err.startswith(f"{path}: verify: {message}")
+
+    @pytest.mark.parametrize(
+        "name,command,tamper,message",
+        [
+            ("two_planes", "seqcm", lambda doc: doc["verdict"].pop("route"), "route"),
+            ("two_planes", "seqcm", lambda doc: doc["verdict"].pop("decision"), "decision"),
+            ("two_planes", "seqcm", lambda doc: doc.pop("invariants"), "invariants"),
+            ("two_planes", "seqcm", lambda doc: doc.pop("seed"), "seed"),
+            ("two_planes", "seqcm", lambda doc: doc.pop("block"), "block"),
+            (
+                "two_planes", "seqcm",
+                lambda doc: doc["verdict"]["filtration"]["levels"][0].pop("verify"),
+                "level 1: verify",
+            ),
+            ("quadric_rank2", "hypersurface", lambda doc: doc.pop("split"), "split"),
+        ],
+        ids=("route", "decision", "invariants", "seed", "block", "level_verify", "split"),
+    )
+    def test_missing_field_is_four(self, capsys, monkeypatch, name, command, tamper, message):
+        """A missing field that the check reads is one disagreement naming
+        it, not an error of the check, however many checks read it."""
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, tamper, "--wrt", "Q", command=command
+        )
+        assert code == 4
+        assert err == f"{path}: verify: {message} is missing\n"
+
+    def test_missing_field_does_not_stop_the_check(self, capsys, monkeypatch):
+        def tamper(doc):
+            del doc["verdict"]["route"]
+            doc["verdict"]["offending_level"] = 1
+
+        path = str(CORPUS / "two_planes.ring")
+        code, err = verify_tampered(capsys, monkeypatch, path, tamper)
+        assert code == 4
+        assert err == (
+            f"{path}: verify: offending_level is not None\n{path}: verify: route is missing\n"
+        )
+
+    @pytest.mark.parametrize(
+        "command,text,tamper,message",
+        [
+            ("cd", "x1*y1", lambda doc: doc["invariants"].update(cd=99),
+             'invariants is not the recomputed {"cd": 2}'),
+            ("dim", "x1*y1", lambda doc: doc["invariants"].update(dim=99),
+             'invariants is not the recomputed {"dim": 3}'),
+            ("grade", "x1*y1", lambda doc: doc["invariants"].update(grade=99),
+             'invariants is not the recomputed {"grade": 1}'),
+            ("depth", "x1*y1", lambda doc: doc["invariants"].update(depth=99),
+             'invariants is not the recomputed {"depth": 3}'),
+            ("relcm", "x1*y1", lambda doc: doc["witness"].update(regular_sequence=[]),
+             'witness is not the recomputed {"regular_sequence": ["-y2"]}'),
+            ("gb", "x1*y1", lambda doc: doc.update(basis=["x1"]),
+             'basis is not the recomputed ["x1*y1"]'),
+            ("primdec", "x1*y1", lambda doc: doc["components"].pop(),
+             "components is not the recomputed"),
+            ("filtration", "x1*y1", lambda doc: doc.update(chain=[["x1*y1"], ["1"]]),
+             'chain is not the recomputed [["x1*y1"], ["x1"], ["1"]]'),
+            ("tensorcheck", "x1^2, y1*y2", lambda doc: doc["tensor"].update(agree=False),
+             'tensor is not the recomputed {"agree": true, "lhs": true, "rhs": true}'),
+        ],
+        ids=("cd", "dim", "grade", "depth", "relcm", "gb", "primdec", "filtration", "tensorcheck"),
+    )
+    def test_tampered_recomputed_document_is_four(
+        self, tmp_path, capsys, monkeypatch, command, text, tamper, message
+    ):
+        """A document without a verdict is written again by the command from
+        its own generators, block and seed, and must be that document."""
+        path = write_problem(tmp_path, f"ring m=2 n=2 field=QQ\nideal {text}\n")
+        code, out, err = run_cli(capsys, command, path, "--verify")
+        assert code == 0 and err == ""
+        assert out.endswith("verified: certificate levels recomputed and agree\n")
+        code, err = verify_tampered(capsys, monkeypatch, path, tamper, command=command)
+        assert code == 4
+        assert err.startswith(f"{path}: verify: {message}") and err.count("\n") == 1
 
     def test_base_is_compared_as_an_ideal(self):
         """A base written with other generators of the same ideal passes."""
