@@ -236,28 +236,49 @@ def _level_problem(spec: VerifySpec, d_i: Ideal, below: Ideal, want, block, seed
     return None if got == want else f"recomputed {got}, document says {want}"
 
 
-class _MissingField(Exception):
-    """The document lacks the field the check reads, the one argument."""
+class _BadField(Exception):
+    """A field that the check reads is missing or of the wrong JSON type;
+    the one argument says which, as a disagreement."""
 
 
 class _Fields(dict):
-    """A document object whose missing keys raise :class:`_MissingField`."""
+    """A document object whose reads raise :class:`_BadField` on a missing
+    key or on a value whose type is not the key's in ``_FIELD_TYPES``."""
 
     def __missing__(self, key):
-        raise _MissingField(key)
+        raise _BadField(f"{key} is missing")
+
+    def __getitem__(self, key):
+        value = super().__getitem__(key)
+        want, types = _FIELD_TYPES.get(key, (None, ()))
+        items = value if type(value) is list else ()  # a list field holds objects
+        if want and (type(value) not in types or any(type(v) is not _Fields for v in items)):
+            raise _BadField(f"{key} is not a JSON {want}")
+        return value
+
+
+# The JSON type of each field the check reads where a value of another type
+# would break the reading rather than fail a comparison (a boolean is not an
+# integer); a list of polynomials is checked where it is parsed.
+_FIELD_TYPES = {
+    **dict.fromkeys(("block", "kind", "route", "h1", "h2"), ("string", (str,))),
+    **dict.fromkeys(("seed", "cd"), ("integer", (int,))),
+    **dict.fromkeys(("verdict", "filtration", "verify", "invariants"), ("object", (_Fields,))),
+    "levels": ("list of objects", (list,)),
+    "split": ("object or null", (_Fields, type(None))),
+}
 
 
 @contextmanager
 def _reading(problems: list, tag: str = ""):
-    """Add a field that the block reads and the document lacks to
-    ``problems`` as one disagreement naming it, once however many blocks
-    read it, and go on after the block."""
+    """Add a field that the block reads and the document lacks, or has with
+    the wrong type, to ``problems`` as one disagreement naming it, once
+    however many blocks read it, and go on after the block."""
     try:
         yield
-    except _MissingField as exc:
-        missing = f"{exc.args[0]} is missing"
-        if all(p.rpartition(": ")[2] != missing for p in problems):
-            problems.append(tag + missing)
+    except _BadField as exc:
+        if all(p.rpartition(": ")[2] != exc.args[0] for p in problems):
+            problems.append(tag + exc.args[0])
 
 
 def verify_certificate(doc: dict, ideal: Ideal) -> list:
@@ -282,7 +303,8 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
 
     Returns a list of human-readable disagreements (empty when everything
     checks out), among them an ideal that does not parse and each field
-    that the check reads and the document lacks.
+    that the check reads and the document lacks or has with the wrong JSON
+    type (``_FIELD_TYPES``; a ``seed`` is an integer, not a boolean).
     """
     doc = json.loads(json.dumps(doc), object_hook=_Fields)
     ring = ideal.ring
@@ -290,6 +312,8 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     problems = []
 
     def parse(gens) -> Ideal:
+        if type(gens) is not list or not all(type(g) is str for g in gens):
+            raise ValueError(f"{gens!r} is not a list of polynomial strings")
         key = tuple(gens)
         if key not in parsed:
             parsed[key] = Ideal(ring, [parse_polynomial(ring, g) for g in key])
@@ -301,7 +325,7 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
             try:
                 if not holds(parse(read())):
                     problems.append(f"{name} {claim}")
-            except SeqcmError as exc:
+            except (SeqcmError, ValueError) as exc:
                 problems.append(f"cannot parse {name}: {exc}")
 
     with _reading(problems):
@@ -310,7 +334,10 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     check("generators", lambda: doc["generators"], ideal.equals, "are not the input ideal")
     block = seed = None
     with _reading(problems):
-        block = VariableBlock.from_tag(doc["block"])
+        try:
+            block = VariableBlock.from_tag(doc["block"])
+        except ValueError as exc:
+            problems.append(str(exc))
     with _reading(problems):
         seed = doc["seed"]
     if doc.get("command") not in ("seqcm", "hypersurface"):
@@ -322,10 +349,10 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
         verdict = doc["verdict"]
         filtration = verdict["filtration"]
         levels = filtration["levels"]
-    except _MissingField as exc:
-        return problems + [f"{exc.args[0]} is missing"]
+    except _BadField as exc:
+        return problems + [exc.args[0]]
     check("filtration base", lambda: filtration["base"], ideal.equals, "is not the input ideal")
-    check("last level ideal", lambda: levels[-1]["ideal"] if levels else (),
+    check("last level ideal", lambda: levels[-1]["ideal"] if levels else [],
           Ideal.is_unit_ideal, "is not (1)")
     with _reading(problems):
         cds = [level["cd"] for level in levels]
@@ -395,7 +422,7 @@ def _recomputed_problems(doc: dict, generators: Ideal, block, seed) -> list:
     for key in sorted((doc.keys() | fresh.keys()) - {"file", "input_sha256", "ring", "generators"}):
         if key not in doc:
             problems.append(f"{key} is missing")
-        elif doc[key] != fresh.get(key):
+        elif doc.get(key) != fresh.get(key):  # compared whole, so of any type
             value = json.dumps(fresh.get(key), sort_keys=True)
             problems.append(f"{key} is not the recomputed {value}")
     return problems

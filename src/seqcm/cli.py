@@ -40,8 +40,7 @@ import re
 import sys
 from dataclasses import dataclass
 
-from .certificates import _hypersurface_invariants, _ideal_doc, _ring_doc, _verdict_doc
-from .certificates import verify_certificate
+from .certificates import _ideal_doc, _ring_doc, _verdict_doc, verify_certificate
 from .errors import (
     NoRegularFormError,
     NotBihomogeneousError,
@@ -172,8 +171,8 @@ def parse_problem(text: str) -> ProblemFile:
     ideal_gens = None
     options = {}
     for statement, line, col in _statements(text):
-        keyword, _, body = statement.partition(" ")
-        body_col = col + len(keyword) + 1
+        keyword = re.match(r"\S+", statement).group()  # ends at whitespace, a tab too
+        body, body_col = statement[len(keyword) + 1 :], col + len(keyword) + 1
         if keyword == "ring":
             if ring is not None:
                 raise ParseError("duplicate ring statement", line, col)
@@ -290,10 +289,10 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
                 "hypersurface command needs exactly one nonzero generator"
             )
         f = ideal.gens[0]
-        stats = hypersurface_stats(f, seed)
+        stats = hypersurface_stats(f)
         verdict = classify_hypersurface(f, block, seed, _report=stats)
         split = stats.split
-        doc["invariants"].update(_hypersurface_invariants(f))
+        doc["invariants"].update(stats.invariants)
         doc["split"] = (
             {"h1": str(split.h1), "h2": str(split.h2)} if split is not None else None
         )
@@ -382,8 +381,8 @@ def main(argv=None) -> int:
         try:
             with open(path, "r", encoding="utf-8") as handle:
                 text = handle.read()
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
+        except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
+            print(f"{path}: cannot read: {exc}", file=sys.stderr)
             return 3
         try:
             problem = parse_problem(text)

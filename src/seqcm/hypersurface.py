@@ -20,7 +20,9 @@ Every module checked here, S/fS and the two levels, is principal and cyclic,
 so :func:`seqcm.relcm.is_relative_cm` reads its cd and grade off the
 bidegree in closed form and stops the regular-sequence search at that grade:
 no dimension and no terminal H^0 proof is computed.  The rank test still
-decides the classification.
+decides the classification, and a verdict searches only for the levels it
+records: S/fS itself when f does not split or is one-sided, the two levels
+otherwise.  :func:`hypersurface_stats` searches for nothing.
 """
 
 from __future__ import annotations
@@ -33,6 +35,7 @@ from .certificates import (
     Route,
     SeqCMVerdict,
     VerifySpec,
+    _hypersurface_invariants,
     single_level_verdict,
 )
 from .errors import (
@@ -108,50 +111,28 @@ def rank_one_split(f: Polynomial):
     """
     matrix = coefficient_matrix(f)
     ring = f.ring
-    pivot = None
-    for i, row in enumerate(matrix.entries):
-        for j, c in enumerate(row):
-            if c:
-                pivot = (i, j)
-                break
-        if pivot:
-            break
-    i0, j0 = pivot  # f != 0 guarantees a nonzero entry
-    h2_terms = {
-        matrix.cols[j]: c for j, c in enumerate(matrix.entries[i0]) if c
-    }
-    inv = ring.field.one / matrix.entries[i0][j0]
-    h1_terms = {}
-    for i, row in enumerate(matrix.entries):
-        if row[j0]:
-            h1_terms[matrix.rows[i]] = row[j0] * inv
+    entries = matrix.entries  # f != 0 guarantees a nonzero entry
+    i0, j0 = next((i, j) for i, row in enumerate(entries) for j, c in enumerate(row) if c)
+    inv = ring.field.one / entries[i0][j0]
+    h1_terms = {x: row[j0] * inv for x, row in zip(matrix.rows, entries) if row[j0]}
     h1 = Polynomial._raw(ring, h1_terms)
-    h2 = Polynomial._raw(ring, h2_terms)
+    h2 = Polynomial._raw(ring, {y: c for y, c in zip(matrix.cols, entries[i0]) if c})
     if h1 * h2 == f:
         lc = h2.leading_coefficient()
-        one = ring.field.one
-        if lc != one:
-            h1 = h1.scale(lc)
-            h2 = h2.scale(one / lc)
-        return SplitWitness(h1, h2)
-    if exact_rank(matrix.entries, ring.field) <= 1:
-        raise CertificateVerificationError(
-            "rank <= 1 but the reconstructed split failed to expand"
-        )
+        return SplitWitness(h1.scale(lc), h2.scale(ring.field.one / lc))
+    if exact_rank(entries, ring.field) <= 1:
+        raise CertificateVerificationError("rank <= 1 but the split failed to expand")
     return None
 
 
 @dataclass(frozen=True)
 class HypersurfaceReport:
-    """The rank-one split (None when rank >= 2) and the cyclic cd/grade
-    reports of S/fS for both blocks."""
+    """The rank-one split (None when rank >= 2) and the invariants a
+    hypersurface document writes: the bidegree a, b and cd_P, grade_P,
+    cd_Q, grade_Q of S/fS in closed form."""
 
     split: SplitWitness | None
-    report_p: CdGradeReport
-    report_q: CdGradeReport
-
-    def report(self, block: VariableBlock) -> CdGradeReport:
-        return self.report_p if block is VariableBlock.P else self.report_q
+    invariants: dict
 
 
 def _proper_principal(f: Polynomial) -> Ideal:
@@ -162,22 +143,18 @@ def _proper_principal(f: Polynomial) -> Ideal:
     return Ideal(f.ring, (f,))
 
 
-def hypersurface_stats(f: Polynomial, seed: int = 0) -> HypersurfaceReport:
-    """Rank-one split, and grade/cd for both blocks of S/fS.
+def hypersurface_stats(f: Polynomial) -> HypersurfaceReport:
+    """Rank-one split, and bidegree, cd and grade for both blocks of S/fS.
 
     For a nonzero bihomogeneous f of bidegree (a, b): a = 0 gives
     (cd_P, cd_Q) = (m, n-1) with both blocks relative CM, b = 0 the mirror,
-    and a, b > 0 gives grade exactly one below cd on both sides.  These are
-    the closed forms :func:`is_relative_cm` uses for a principal S/fS, so
-    the reports cost no dimension and no terminal H^0 proof; only the
-    regular sequence is searched for.
+    and a, b > 0 gives grade exactly one below cd on both sides.  These
+    closed forms are the ones :func:`is_relative_cm` uses for a principal
+    S/fS and the ones ``--verify`` checks a document against, so no
+    dimension and no regular sequence is computed.
     """
-    pair = IdealPair.cyclic(_proper_principal(f))
-    return HypersurfaceReport(
-        split=rank_one_split(f),
-        report_p=is_relative_cm(pair, VariableBlock.P, seed),
-        report_q=is_relative_cm(pair, VariableBlock.Q, seed),
-    )
+    _proper_principal(f)
+    return HypersurfaceReport(rank_one_split(f), _hypersurface_invariants(f))
 
 
 def _two_level_certificate(
@@ -186,8 +163,8 @@ def _two_level_certificate(
     cofactor: Polynomial,
     block: VariableBlock,
     seed: int,
-):
-    """Verify the chain (f) ⊂ (middle) ⊂ (1); None if the cds do not increase.
+) -> CMFiltration:
+    """Verify the chain (f) ⊂ (middle) ⊂ (1), and raise if it fails.
 
     Level one is (middle)/(f) ≅ S/(cofactor) via multiplication by middle,
     level two is S/(middle); both must be relative CM with strictly
@@ -198,7 +175,7 @@ def _two_level_certificate(
     bottom = is_relative_cm(IdealPair.cyclic(lower), block, seed)
     top = is_relative_cm(IdealPair.cyclic(upper), block, seed)
     if not (bottom.relative_cm and top.relative_cm and bottom.cd < top.cd):
-        return None
+        raise CertificateVerificationError("split found but the two-level chain did not verify")
     level1 = FiltrationLevel(upper, bottom, VerifySpec.cyclic(lower))
     level2 = FiltrationLevel(Ideal.unit(ring), top, VerifySpec.cyclic(upper))
     return CMFiltration(Ideal(ring, (f,)), (level1, level2))
@@ -221,34 +198,23 @@ def classify_hypersurface(
     ``_report`` is work the caller has already done on S/fS:
     :func:`seqcm.filtration.is_seq_cm` passes the block's cyclic cd/grade
     report, and the CLI passes the :class:`HypersurfaceReport` of
-    :func:`hypersurface_stats`, whose split is reused as well.
+    :func:`hypersurface_stats`, whose split is reused.  Only a single-level
+    verdict reads a report of S/fS, and it computes its own when handed
+    none.
     """
     if block is VariableBlock.M:
         raise ValueError("classification applies to the P and Q blocks")
     a, b = f.bidegree()
     I = _proper_principal(f)
     if isinstance(_report, HypersurfaceReport):
-        split, report = _report.split, _report.report(block)
+        split, report = _report.split, None
     else:
         split, report = rank_one_split(f), _report
     if split is None or a == 0 or b == 0:
         report = report or is_relative_cm(IdealPair.cyclic(I), block, seed)
-        if split is None and report.relative_cm:
-            raise CertificateVerificationError(
-                "rank >= 2 hypersurface measured as relative CM"
-            )
-        if split is not None and not report.relative_cm:
-            raise CertificateVerificationError(
-                "one-sided hypersurface must be relative CM"
-            )
+        if report.relative_cm != (split is not None):  # one-sided exactly when relative CM
+            raise CertificateVerificationError("the rank test and the grade of S/fS disagree")
         return single_level_verdict(I, report, Route.HYPERSURFACE_RANK1)
-    if block is VariableBlock.Q:
-        middle, cofactor = split.h1, split.h2
-    else:
-        middle, cofactor = split.h2, split.h1
+    middle, cofactor = (split.h1, split.h2) if block is VariableBlock.Q else (split.h2, split.h1)
     filtration = _two_level_certificate(f, middle, cofactor, block, seed)
-    if filtration is None:
-        raise CertificateVerificationError(
-            "split found but the two-level chain did not verify"
-        )
     return SeqCMVerdict(filtration, Route.HYPERSURFACE_RANK1)

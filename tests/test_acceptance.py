@@ -308,7 +308,7 @@ def test_criterion_3_hypersurface_case_table():
         rows = []
         for ring, f in LEMMA_CASES:
             a, b = f.bidegree()
-            stats = hypersurface_stats(f, seed)
+            invariants = hypersurface_stats(f).invariants
             m, n = ring.m, ring.n
             if a == 0:
                 expected = (m, m, n - 1, n - 1)
@@ -316,8 +316,7 @@ def test_criterion_3_hypersurface_case_table():
                 expected = (m - 1, m - 1, n, n)
             else:
                 expected = (m - 1, m, n - 1, n)
-            rep_p, rep_q = stats.report_p, stats.report_q
-            got = (rep_p.grade, rep_p.cd, rep_q.grade, rep_q.cd)
+            got = tuple(invariants[key] for key in ("grade_P", "cd_P", "grade_Q", "cd_Q"))
             assert got == expected, (str(f), got, expected)
             I = Ideal(ring, (f,))
             pair = IdealPair.cyclic(I)

@@ -149,6 +149,37 @@ class TestExitCodes:
         assert code == 3 and out == ""
         assert err == f"{path}: parse error: {message} (line 1, column {column})\n"
 
+    def test_tab_after_keyword(self, tmp_path, capsys):
+        """A keyword ends at the first whitespace, a tab as well as a space,
+        and the columns after it count the tab as one character."""
+        documents = []
+        for sep in (" ", "\t"):
+            text = f"ring{sep}m=2 n=2\nideal{sep}x1*y1 + x2*y1\noptions{sep}seed=3 block=P\n"
+            path = write_problem(tmp_path, text)
+            code, out, _ = run_cli(capsys, "hypersurface", path, "--format", "json", "--verify")
+            assert code == 0
+            doc = json.loads(out.split("\nverified: ")[0])
+            documents.append({k: v for k, v in doc.items() if k not in ("input_sha256", "file")})
+        assert documents[0] == documents[1]
+        path = write_problem(tmp_path, "ring\tm=1\tfeild=GF(2)\nideal x1*y1\n")
+        code, out, err = run_cli(capsys, "cd", path)
+        assert code == 3 and out == ""
+        assert err == (
+            f"{path}: parse error: unknown ring key 'feild'; expected m, n, field "
+            "(line 1, column 10)\n"
+        )
+
+    def test_file_that_is_not_utf8_is_three(self, tmp_path, capsys):
+        """A file that cannot be decoded cannot be read: one line naming it,
+        and the batch stops there."""
+        bad = tmp_path / "a.ring"
+        bad.write_bytes(b"ring m=1 n=1\nideal x1*y1 \xff\n")
+        good = write_problem(tmp_path, "ring m=1 n=1\nideal x1*y1\n", "b.ring")
+        code, out, err = run_cli(capsys, "cd", good, str(bad))
+        assert code == 3 and out == ""
+        assert err.startswith(f"{bad}: cannot read: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("seed", ["٣", "1_0", "abc"])
     def test_seed_flag_takes_ascii_digits(self, tmp_path, capsys, seed):
         path = write_problem(tmp_path, "ring m=1 n=1\nideal x1*y1\n")
@@ -322,8 +353,9 @@ class TestCommands:
     def test_hypersurface_computes_split_and_reports_once(
         self, tmp_path, capsys, monkeypatch
     ):
-        """One split and one cd/grade report per block, even where the
-        verdict needs the block's report again (no split, one-sided f)."""
+        """One split per document, and a grade search only for the levels
+        the verdict records: S/fS alone when f does not split or is
+        one-sided, the two levels of a mixed split."""
         import seqcm.hypersurface as hypersurface
 
         calls = []
@@ -335,13 +367,14 @@ class TestCommands:
                 return _original(*args, **kwargs)
 
             monkeypatch.setattr(hypersurface, name, counting)
-        for ideal in ("x1*y1 + x2*y2", "y1^2 + y1*y2"):
+        searches = {"x1*y1 + x2*y2": 1, "y1^2 + y1*y2": 1, "x1*y1 + x2*y1": 2}
+        for ideal, count in searches.items():
             path = write_problem(tmp_path, f"ring m=2 n=2 field=QQ\nideal {ideal}\n")
             for wrt in "PQ":
                 calls.clear()
                 code, _, _ = run_cli(capsys, "hypersurface", path, "--wrt", wrt)
                 assert code == 0
-                assert sorted(calls) == ["is_relative_cm", "is_relative_cm", "rank_one_split"]
+                assert sorted(calls) == ["is_relative_cm"] * count + ["rank_one_split"]
 
     def test_grade_of_zero_module_is_two(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=1 n=1 field=QQ\nideal 1\n")
@@ -681,6 +714,70 @@ class TestVerify:
         )
         assert code == 4
         assert err == f"{path}: verify: {message} is missing\n"
+
+    @pytest.mark.parametrize(
+        "name,command,tamper,message",
+        [
+            ("two_planes", "seqcm", lambda doc: doc.update(block=5),
+             "block is not a JSON string"),
+            ("two_planes", "seqcm", lambda doc: doc.update(block="Z"),
+             "unknown block 'Z'; expected P, Q, or m"),
+            ("two_planes", "seqcm", lambda doc: doc.update(generators=5),
+             "cannot parse generators: 5 is not a list of polynomial strings"),
+            ("two_planes", "seqcm", lambda doc: doc["verdict"]["filtration"].update(levels=5),
+             "levels is not a JSON list of objects"),
+            ("two_planes", "seqcm", lambda doc: doc["verdict"]["filtration"].update(levels=[5]),
+             "levels is not a JSON list of objects"),
+            ("two_planes", "seqcm",
+             lambda doc: doc["verdict"]["filtration"]["levels"][0].update(cd="1"),
+             "cd is not a JSON integer"),
+            ("two_planes", "seqcm",
+             lambda doc: doc["verdict"]["filtration"]["levels"][0].update(verify="x"),
+             "level 1: verify is not a JSON object"),
+            ("two_planes", "seqcm",
+             lambda doc: doc["verdict"]["filtration"]["levels"][0]["verify"].update(kind=[]),
+             "level 1: kind is not a JSON string"),
+            ("two_planes", "seqcm",
+             lambda doc: doc["verdict"]["filtration"]["levels"][0]["verify"].update(
+                 quotient=[5]),
+             "level 1: recheck raised [5] is not a list of polynomial strings"),
+            ("two_planes", "seqcm", lambda doc: doc.update(verdict=[]),
+             "verdict is not a JSON object"),
+            ("two_planes", "seqcm", lambda doc: doc.update(invariants=[]),
+             "invariants is not a JSON object"),
+            ("two_planes", "seqcm", lambda doc: doc.update(seed="0"),
+             "seed is not a JSON integer"),
+            ("two_planes", "cd", lambda doc: doc.update(seed="0"),
+             "seed is not a JSON integer"),
+            ("two_planes", "cd", lambda doc: doc.update(seed=False),
+             "seed is not a JSON integer"),
+            ("quadric_rank2", "hypersurface", lambda doc: doc.update(invariants=[]),
+             "invariants is not a JSON object"),
+            ("split_binomial", "hypersurface", lambda doc: doc.update(split="x"),
+             "split is not a JSON object or null"),
+            ("split_binomial", "hypersurface", lambda doc: doc["split"].update(h1=5),
+             "h1 is not a JSON string"),
+        ],
+        ids=(
+            "block_number", "block_unknown", "generators", "levels", "level_list", "level_cd",
+            "level_verify",
+            "level_kind", "level_quotient", "verdict", "invariants", "seed_string",
+            "seed_string_cd", "seed_boolean_cd", "invariants_hypersurface", "split",
+            "split_h1",
+        ),
+    )
+    def test_field_of_the_wrong_type_is_four(
+        self, capsys, monkeypatch, name, command, tamper, message
+    ):
+        """A field that the check reads and that has the wrong JSON type is
+        one disagreement naming it, as a missing field is, not an error of
+        the check; a seed is an integer and not a boolean."""
+        path = str(CORPUS / f"{name}.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, tamper, "--wrt", "Q", command=command
+        )
+        assert code == 4
+        assert err == f"{path}: verify: {message}\n"
 
     def test_missing_field_does_not_stop_the_check(self, capsys, monkeypatch):
         def tamper(doc):

@@ -25,15 +25,15 @@ def stats_invariants(f, seed=0):
     """(grade_P, cd_P, grade_Q, cd_Q) of hypersurface_stats, asserted equal
     to the dimension route and the unstopped grade search, which do not
     use the closed forms."""
-    stats = hypersurface_stats(f, seed)
+    stats = hypersurface_stats(f)
     I = Ideal(f.ring, (f,))
     pair = IdealPair.cyclic(I)
     got = []
     for block in (P, Q):
-        report = stats.report(block)
-        assert report.cd == cd_wrt(I, block), (str(f), block)
-        assert report.grade == grade_wrt(pair, block, seed).grade, (str(f), block)
-        got += [report.grade, report.cd]
+        cd, grade = (stats.invariants[f"{key}_{block.value}"] for key in ("cd", "grade"))
+        assert cd == cd_wrt(I, block), (str(f), block)
+        assert grade == grade_wrt(pair, block, seed).grade, (str(f), block)
+        got += [grade, cd]
     return tuple(got)
 
 
@@ -170,22 +170,38 @@ class TestStats:
             else:
                 assert got == (m - 1, m, n - 1, n)
 
-    def test_carries_split_and_block_reports(self, R22, segre_quadric):
-        for f in (segre_quadric, R22.parse("x1*y1 + x2*y1"), R22.parse("y1^2 + y1*y2")):
-            stats = hypersurface_stats(f, seed=3)
+    def test_carries_split_and_block_reports(self, R22, segre_quadric, monkeypatch):
+        """The split and the closed-form invariants, with no grade search:
+        each block's values are those of is_relative_cm's report."""
+        import seqcm.hypersurface
+        import seqcm.relcm
+
+        def searched(*args, **kwargs):
+            raise AssertionError("hypersurface_stats searched")
+
+        fs = (segre_quadric, R22.parse("x1*y1 + x2*y1"), R22.parse("y1^2 + y1*y2"))
+        with monkeypatch.context() as patched:
+            for module, name in ((seqcm.hypersurface, "is_relative_cm"),
+                                 (seqcm.relcm, "is_relative_cm"), (seqcm.relcm, "grade_wrt")):
+                patched.setattr(module, name, searched)
+            all_stats = [hypersurface_stats(f) for f in fs]
+        for f, stats in zip(fs, all_stats):
             assert stats.split == rank_one_split(f)
+            assert (stats.invariants["a"], stats.invariants["b"]) == f.bidegree()
             for block in (P, Q):
-                pair = IdealPair.cyclic(Ideal(R22, (f,)))
-                assert stats.report(block) == is_relative_cm(pair, block, 3)
+                report = is_relative_cm(IdealPair.cyclic(Ideal(R22, (f,))), block, 3)
+                got = tuple(stats.invariants[f"{key}_{block.value}"] for key in ("cd", "grade"))
+                assert got == (report.cd, report.grade)
 
     def test_classify_reuses_the_stats(self, R22, segre_quadric):
         """Handing the stats over changes nothing in the verdict's document,
-        at any seed: the reports were drawn with the same seed."""
+        at any seed: a verdict that reads a report of S/fS draws it with its
+        own seed."""
         from seqcm.cli import _verdict_doc
 
         for f in (segre_quadric, R22.parse("x1*y1 + x2*y1"), R22.parse("y1^2 + y1*y2")):
+            stats = hypersurface_stats(f)
             for seed in (0, 3):
-                stats = hypersurface_stats(f, seed)
                 for block in (P, Q):
                     reused = classify_hypersurface(f, block, seed, _report=stats)
                     fresh = classify_hypersurface(f, block, seed)
