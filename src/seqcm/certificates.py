@@ -11,6 +11,7 @@ the document fields of each kind; the encoders below write them and
 
 from __future__ import annotations
 
+import hashlib
 import json
 from contextlib import contextmanager
 from dataclasses import dataclass, field
@@ -281,10 +282,17 @@ def _reading(problems: list, tag: str = ""):
             problems.append(tag + exc.args[0])
 
 
-def verify_certificate(doc: dict, ideal: Ideal) -> list:
-    """Check a result document against the input ideal it was made from.
+def _input_sha256(text: str) -> str:
+    """The hex SHA-256 of a problem file's text, as a document records it."""
+    return hashlib.sha256(text.encode()).hexdigest()
 
-    ``ring`` and ``generators`` must be the input's.  A ``seqcm`` or
+
+def verify_certificate(doc: dict, problem) -> list:
+    """Check a result document against the problem it was made from, a
+    :class:`seqcm.cli.ProblemFile`.
+
+    ``input_sha256`` must hash the problem's text, and ``ring`` and
+    ``generators`` must be the input's.  A ``seqcm`` or
     ``hypersurface`` document's filtration must then start at the input
     ideal and end at (1) with strictly increasing level cds.  Each level's
     verify record must present the level over the one below it, the chain
@@ -295,11 +303,11 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     (:func:`_route_fits`), and the top-level invariants must agree with the
     levels (seqcm) or the input's generator (hypersurface); these last
     checks compute no basis.  Any other document must be the one its
-    command writes again from its ``generators``, ``block`` and ``seed``
-    (:func:`_recomputed_problems`).
+    command writes again from the problem, with the document's ``block``
+    and ``seed`` (:func:`_recomputed_problems`).
     Ideals are compared as ideals, not as texts.  Each distinct ideal of the
     document is parsed at most once per call, and the input's own generator
-    strings are taken to be ``ideal``.
+    strings are taken to be the problem's ideal.
 
     Returns a list of human-readable disagreements (empty when everything
     checks out), among them an ideal that does not parse and each field
@@ -307,7 +315,7 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     type (``_FIELD_TYPES``; a ``seed`` is an integer, not a boolean).
     """
     doc = json.loads(json.dumps(doc), object_hook=_Fields)
-    ring = ideal.ring
+    ideal, ring = problem.ideal, problem.ring
     parsed = {ideal.generator_strings(): ideal}
     problems = []
 
@@ -331,6 +339,9 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     with _reading(problems):
         if doc["ring"] != _ring_doc(ring):
             problems.append("ring is not the input ring")
+    with _reading(problems):
+        if doc["input_sha256"] != _input_sha256(problem.text):
+            problems.append("input_sha256 is not the hash of the input text")
     check("generators", lambda: doc["generators"], ideal.equals, "are not the input ideal")
     block = seed = None
     with _reading(problems):
@@ -343,7 +354,7 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     if doc.get("command") not in ("seqcm", "hypersurface"):
         with _reading(problems):
             if not problems:  # the document's input is the file's
-                problems += _recomputed_problems(doc, parse(doc["generators"]), block, seed)
+                problems += _recomputed_problems(doc, problem, block, seed)
         return problems
     try:
         verdict = doc["verdict"]
@@ -406,14 +417,13 @@ def verify_certificate(doc: dict, ideal: Ideal) -> list:
     return problems
 
 
-def _recomputed_problems(doc: dict, generators: Ideal, block, seed) -> list:
+def _recomputed_problems(doc: dict, problem, block, seed) -> list:
     """Each field of a document without a verdict that is not what its
-    command writes again from ``generators``, ``block`` and ``seed``.  The
-    fields compared with the input are skipped, and so are ``file`` and
-    ``input_sha256``, a hash of file text that the check is not given."""
-    from .cli import ProblemFile, run  # imported here: cli imports this module
+    command writes again from ``problem`` with ``block`` and ``seed``.  The
+    fields checked against the input (``ring``, ``generators`` and
+    ``input_sha256``) are skipped, and so is ``file``."""
+    from .cli import run  # imported here: cli imports this module
 
-    problem = ProblemFile(generators.ring, generators, seed, block, text="")
     try:
         fresh = run(doc["command"], problem, block, seed)
     except (SeqcmError, ValueError) as exc:

@@ -34,13 +34,13 @@ from __future__ import annotations
 
 import argparse
 import functools
-import hashlib
 import json
 import re
 import sys
 from dataclasses import dataclass
 
-from .certificates import _ideal_doc, _ring_doc, _verdict_doc, verify_certificate
+from .certificates import _ideal_doc, _input_sha256, _ring_doc, _verdict_doc
+from .certificates import verify_certificate
 from .errors import (
     NoRegularFormError,
     NotBihomogeneousError,
@@ -220,7 +220,7 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
     ideal = problem.ideal
     doc = {
         "command": command,
-        "input_sha256": hashlib.sha256(problem.text.encode()).hexdigest(),
+        "input_sha256": _input_sha256(problem.text),
         "ring": _ring_doc(ring),
         "generators": _ideal_doc(ideal),
         "block": block.value,
@@ -379,7 +379,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     for path in sorted(args.files):
         try:
-            with open(path, "r", encoding="utf-8") as handle:
+            with open(path, "r", encoding="utf-8-sig") as handle:  # skips a BOM
                 text = handle.read()
         except (OSError, UnicodeDecodeError) as exc:  # missing, unreadable or not UTF-8
             print(f"{path}: cannot read: {exc}", file=sys.stderr)
@@ -405,7 +405,7 @@ def main(argv=None) -> int:
             return 5
         sys.stdout.write(render_document(doc, args.format))
         if args.verify:
-            problems = verify_certificate(doc, problem.ideal)
+            problems = verify_certificate(doc, problem)
             if problems:
                 for problem_line in problems:
                     print(f"{path}: verify: {problem_line}", file=sys.stderr)

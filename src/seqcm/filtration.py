@@ -76,8 +76,6 @@ class PrimaryComponent:
 
 @dataclass(frozen=True)
 class PrimaryDecomposition:
-    ideal: Ideal
-    block: VariableBlock
     components: tuple
 
     def cd_values(self) -> tuple:
@@ -149,7 +147,7 @@ def monomial_primary_decomposition(
     if I.is_zero_ideal():
         zero = Ideal.zero(ring)
         comp = PrimaryComponent(zero, zero, cd_of_prime(zero, block))
-        return PrimaryDecomposition(I, block, (comp,))
+        return PrimaryDecomposition((comp,))
 
     families = _split_pure_power_families([_minimal_monomials(
         e for g in I.gens for e in g.terms
@@ -196,7 +194,7 @@ def monomial_primary_decomposition(
         raise CertificateVerificationError(
             "primary decomposition does not intersect back to the input"
         )
-    return PrimaryDecomposition(I, block, tuple(components))
+    return PrimaryDecomposition(tuple(components))
 
 
 def _divides_into(monos: tuple, m: tuple) -> bool:
@@ -228,13 +226,8 @@ class FiltrationSlice:
 
 @dataclass(frozen=True)
 class DimensionFiltration:
-    ideal: Ideal
-    block: VariableBlock
     chain: tuple  # D_0 = I ⊊ D_1 ⊊ ... ⊊ D_r = (1)
     slices: tuple
-
-    def __len__(self):
-        return len(self.slices)
 
 
 def dimension_filtration(I: Ideal, block: VariableBlock) -> DimensionFiltration:
@@ -260,7 +253,7 @@ def dimension_filtration(I: Ideal, block: VariableBlock) -> DimensionFiltration:
     for lower, upper in zip(chain, chain[1:]):
         if not upper.contains_ideal(lower) or upper.equals(lower):
             raise CertificateVerificationError("dimension filtration chain not strict")
-    return DimensionFiltration(I, block, tuple(chain), tuple(slices))
+    return DimensionFiltration(tuple(chain), tuple(slices))
 
 
 # ---- sequential Cohen-Macaulay decision ----------------------------------------------

@@ -394,6 +394,8 @@ class Ideal:
             raise RingMismatchError("element from a different ring")
         if not f:
             return True
+        if f.is_constant():  # a unit: no basis needed for a homogeneous ideal
+            return self.is_unit_ideal()
         if self.is_monomial_ideal():  # divisibility by any generator will do
             monos = [m for g in self.gens for m in g.terms]
             return all(

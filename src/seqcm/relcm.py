@@ -16,15 +16,13 @@ a regular element of degree one exists whenever the grade is positive (prime
 avoidance), which is why the search is complete there.  Over a small prime
 field the search can exhaust; use the rationals or a large prime.
 
-Each step of the search draws candidate forms; once two have failed, H^0 of
-the current quotient is decided exactly, and a nonzero H^0 ends the search.
-That exact decision keeps grade seed independent.  grade <= cd holds for
-every nonzero graded module (bigraded for P and Q), so
-:func:`is_relative_cm`, which computes cd first, stops the search as soon as
-the sequence has cd forms: the terminal step could only have proven
-H^0 != 0.  cd is read off dimension only for such modules, so
-:func:`cd_wrt`, :func:`grade_wrt` and :func:`is_relative_cm` reject any
-other input.
+One loop, :func:`grade_wrt`, runs every step of the search, and its
+docstring has the step rule.  grade <= cd holds for every nonzero graded
+module (bigraded for P and Q), so :func:`is_relative_cm`, which computes cd
+first, stops the search as soon as the sequence has cd forms: the terminal
+step could only have proven H^0 != 0.  cd is read off dimension only for
+such modules, so :func:`cd_wrt`, :func:`grade_wrt` and
+:func:`is_relative_cm` reject any other input.
 
 For a principal cyclic module S/fS and the block P or Q, both invariants
 are known in closed form, and :func:`is_relative_cm` uses them instead:
@@ -82,12 +80,10 @@ Two choices of J meet A ∩ J = B':
          always.  An accepted l keeps it when l is regular on S/(A + L):
          for x = b + y + l·s in A with b in B and y in L, s lies in A + L,
          say s = a' + y', and x - l·a' lies in A ∩ (B + L).
-A non-cyclic search tests the invariant before each further step, and once
-it fails takes J = B' itself.  B + L·A is built only then and for the
-step's H^0 decision.  The section of J is computed once per step, for all
-of its candidates.  The P, Q and m blocks share this coordinate path: a
-drawn form's pivot is its block's last variable.  The test suite keeps the
-elimination route of the colon as the reference for both tests.
+Once the invariant fails, a step takes J = B' itself.  The P, Q and m
+blocks share this coordinate path: a drawn form's pivot is its block's last
+variable.  The test suite keeps the elimination route of the colon as the
+reference for both tests.
 """
 
 from __future__ import annotations
@@ -189,13 +185,6 @@ class IdealPair:
         gens = self.b.gens + tuple(ell * g for ell in forms for g in self.a.gens)
         return IdealPair(self.a, Ideal(self.ring, gens), _trusted=True)
 
-    def is_graded_for(self, block: "VariableBlock") -> bool:
-        """Whether A/B is bigraded (for P and Q) or graded (for m), which is
-        what the cd formulas and the bound grade <= cd need."""
-        if block is VariableBlock.M:
-            return self.a.is_homogeneous() and self.b.is_homogeneous()
-        return all(g.is_bihomogeneous() for g in self.a.gens + self.b.gens)
-
     def __repr__(self):
         return f"IdealPair(A={self.a!r}, B={self.b!r})"
 
@@ -226,7 +215,11 @@ class CdGradeReport:
 def _require_graded(pair: IdealPair, block: VariableBlock) -> None:
     """Reject A/B unless it is bigraded (graded for the m block): cd's
     dimension formula and the bound grade <= cd hold only then."""
-    if not pair.is_graded_for(block):
+    if block is VariableBlock.M:
+        graded = pair.a.is_homogeneous() and pair.b.is_homogeneous()
+    else:
+        graded = all(g.is_bihomogeneous() for g in pair.a.gens + pair.b.gens)
+    if not graded:
         raise NotBihomogeneousError(
             f"the module is not graded for the block {block.value}; cd and grade "
             "are decided for bigraded modules (graded ones for m)"
@@ -538,52 +531,18 @@ def _draw_form(ring, indices, rng, span):
 def find_regular_linear_form(
     pair: IdealPair, block: VariableBlock, seed: int = 0
 ) -> Polynomial:
-    """A linear form in the block variables that is regular on A/B.
-
-    Coefficients come from a deterministic stream seeded by ``seed``; the
-    integer range widens on every retry.  This is the first step of
-    :func:`grade_wrt`'s search, so it raises :class:`NoRegularFormError`
-    when H^0 of the pair is nonzero (no form is regular) or when the retry
-    budget runs out (the field is too small), and, like :func:`grade_wrt`,
-    :class:`NotBihomogeneousError` unless A/B is bigraded (graded for m).
+    """A linear form in the block variables that is regular on A/B: the
+    first form of :func:`grade_wrt`'s witness with the same seed, which
+    raises what that search raises.  Raises :class:`NoRegularFormError`
+    when the witness is empty (H^0 of the pair is nonzero, so no form is
+    regular).
     """
-    _require_graded(pair, block)
-    ell = _search_regular_form(pair, block, random.Random(seed))
-    if ell is None:
+    witness = grade_wrt(pair, block, seed, _stop=1)
+    if not witness.regular_sequence:
         raise NoRegularFormError(
             "H^0 of the module is nonzero, so no linear form is regular on it"
         )
-    return ell
-
-
-def _search_regular_form(pair, block, rng, sequence=(), invariant=True):
-    """Regular form on A/(B + L·A), L the ideal of the forms of
-    ``sequence``, for one grade step, or None once H^0 != 0 is proven.
-
-    Each candidate takes the section test against J, computed once for the
-    step (see the module docstring): J = B + L while ``invariant`` says that
-    A ∩ (B + L) = B + L·A, and J = B + L·A after.  H^0 is decided exactly
-    once ``_EXACT_H0_AFTER + 1`` candidates have failed, keeping the grade
-    value seed independent; a regular form drawn before that proves H^0 = 0
-    on its own.  The callers check that the pair is graded.
-    """
-    ring = pair.ring
-    indices = block.variable_indices(ring)
-    if not indices:
-        return None  # zero block: H^0 is the whole (nonzero) module
-    step = None if invariant else pair.mod_form(*sequence)
-    section = _solve_linear(ring, step.b.gens if step else (*pair.b.gens, *sequence))
-    for attempt in range(RETRY_BUDGET):
-        ell = _draw_form(ring, indices, rng, 1 + attempt)
-        if _section_verdict(section, pair.a, ell):
-            return ell
-        if attempt == _EXACT_H0_AFTER:
-            if not h0_is_zero(step or pair.mod_form(*sequence), block):
-                return None
-    raise NoRegularFormError(
-        "regular linear forms exist but none was found within the retry "
-        "budget; rerun over the rationals or a larger prime field"
-    )
+    return witness.regular_sequence[0]
 
 
 def grade_wrt(
@@ -592,11 +551,24 @@ def grade_wrt(
     """grade(block, A/B) with the regular sequence that witnesses it.
 
     Zero when H^0 is nonzero; otherwise one more than the grade of
-    A/(B + l·A) for a regular linear form l.  The search runs until H^0 of
-    the remaining quotient is proven nonzero, bounded only by the block
-    size.  The returned value is seed independent (H^0 is decided exactly
-    whenever a step ends); only the witness depends on the seed.  Each step
-    tests its candidates as the module docstring describes.
+    A/(B + l·A) for a regular linear form l.  Each step finds l on
+    A/(B + L·A), L the ideal of the forms accepted so far:
+      - on a non-cyclic pair, while the invariant A ∩ (B + L) = B + L·A
+        holds, it first tests that the last accepted form keeps it
+        (:func:`is_regular_form` on S/(A + the earlier forms));
+      - it computes the section of J once, J = B + L while the invariant
+        holds and B + L·A after, and gives every candidate the section
+        test of the module docstring against it;
+      - candidates come from a stream seeded by ``seed``, their integer
+        coefficient span widening by one on every retry;
+      - once ``_EXACT_H0_AFTER + 1`` candidates have failed, H^0 of
+        A/(B + L·A) is decided exactly, and a nonzero H^0 ends the search
+        (a regular form drawn before that proves H^0 = 0 on its own);
+      - after ``RETRY_BUDGET`` failed candidates it raises
+        :class:`NoRegularFormError` (the field is too small).
+    The search is bounded by the block size.  The returned value is seed
+    independent (H^0 is decided exactly whenever a step ends); only the
+    witness depends on the seed.
 
     ``_stop`` (for callers that know cd or the grade, such as
     :func:`is_relative_cm`) ends the search once the sequence has that many
@@ -604,26 +576,38 @@ def grade_wrt(
     terminal step, which could do nothing but prove H^0 != 0; the forms
     drawn before it come from the same stream, so the witness is unchanged.
 
-    Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
-    the m block), like :func:`cd_wrt`.
+    Raises :class:`ZeroModuleError` on the zero module and
+    :class:`NotBihomogeneousError` unless A/B is bigraded (graded for the m
+    block), like :func:`cd_wrt`.
     """
     _require_graded(pair, block)
     if pair.is_zero_module():
         raise ZeroModuleError("grade of the zero module is undefined")
     ring = pair.ring
+    indices = block.variable_indices(ring)  # an empty block leaves grade 0
     rng = random.Random(seed)
     sequence = []
-    bound = len(block.variable_indices(ring))
     invariant = True  # A ∩ (B + L) = B + L·A, always true for A = (1)
-    while _stop is None or len(sequence) < _stop:
+    while indices and (_stop is None or len(sequence) < _stop):
         if invariant and sequence and not pair.is_cyclic():  # kept by the last form?
             earlier = Ideal(ring, sequence[:-1])
             invariant = is_regular_form(IdealPair.cyclic(pair.a + earlier), sequence[-1])
-        ell = _search_regular_form(pair, block, rng, sequence, invariant)
-        if ell is None:
-            break
+        step = None if invariant else pair.mod_form(*sequence)
+        section = _solve_linear(ring, step.b.gens if step else (*pair.b.gens, *sequence))
+        for attempt in range(RETRY_BUDGET):
+            ell = _draw_form(ring, indices, rng, 1 + attempt)
+            if _section_verdict(section, pair.a, ell):
+                break
+            if attempt == _EXACT_H0_AFTER:
+                if not h0_is_zero(step or pair.mod_form(*sequence), block):
+                    return GradeWitness(tuple(sequence))
+        else:
+            raise NoRegularFormError(
+                "regular linear forms exist but none was found within the retry "
+                "budget; rerun over the rationals or a larger prime field"
+            )
         sequence.append(ell)
-        if len(sequence) > bound:
+        if len(sequence) > len(indices):
             raise NoRegularFormError(
                 "regular sequence exceeded the block size; inconsistent state"
             )
@@ -633,17 +617,15 @@ def grade_wrt(
 def is_relative_cm(pair: IdealPair, block: VariableBlock, seed: int = 0) -> CdGradeReport:
     """grade, cd, and the relative Cohen-Macaulay verdict grade == cd.
 
-    cd comes first and bounds the grade search: grade <= cd holds for every
-    nonzero graded module, so once the regular sequence has cd forms the
-    verdict is known and the terminal search (failed candidates plus an
-    exact H^0 proof) is skipped.  For a principal S/fS and the block P or Q,
-    cd and grade are read off the bidegree of f (see the module docstring):
-    no dimension is computed, and the search stops at the known grade, so
-    it skips the terminal H^0 proof even when grade < cd.  Otherwise cd
-    comes from :func:`cd_subquotient`, and for monomial A and B the search
-    stops at the Koszul grade (:func:`_monomial_grade`), with the same
-    effect.  In every case the grade and regular sequence equal those of an
-    unstopped :func:`grade_wrt` with the same seed.
+    cd comes first and stops :func:`grade_wrt`'s search once the sequence
+    has cd forms, since grade <= cd holds for every nonzero graded module.
+    For a principal S/fS and the block P or Q, cd and grade are read off
+    the bidegree of f (see the module docstring), and the search stops at
+    the known grade.  Otherwise cd comes from :func:`cd_subquotient`, and
+    for monomial A and B the search stops at the Koszul grade
+    (:func:`_monomial_grade`).  In every case the grade and regular
+    sequence equal those of an unstopped :func:`grade_wrt` with the same
+    seed.
 
     Raises :class:`NotBihomogeneousError` unless A/B is bigraded (graded for
     the m block): cd's dimension formula and grade <= cd hold only then.

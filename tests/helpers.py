@@ -371,7 +371,7 @@ def intersection_primary_decomposition(I: Ideal, block) -> PrimaryDecomposition:
     components.sort(key=lambda c: (
         c.cd_value, sorted(c.variables), c.primary.minimal_monomial_generators()
     ))
-    return PrimaryDecomposition(I, block, tuple(components))
+    return PrimaryDecomposition(tuple(components))
 
 
 def intersection_dimension_filtration(I: Ideal, block) -> DimensionFiltration:
@@ -395,7 +395,7 @@ def intersection_dimension_filtration(I: Ideal, block) -> DimensionFiltration:
             if comp.cd_value > c
         )
         chain.append(Ideal.unit(ring) if above is None else _monomial_ideal(ring, above))
-    return DimensionFiltration(I, block, tuple(chain), tuple(slices))
+    return DimensionFiltration(tuple(chain), tuple(slices))
 
 
 # ---- brute-force submodule oracle ------------------------------------------------------

@@ -169,6 +169,19 @@ class TestExitCodes:
             "(line 1, column 10)\n"
         )
 
+    def test_byte_order_mark_is_skipped(self, tmp_path, capsys):
+        """A file that starts with a UTF-8 byte-order mark gives the document
+        of the same file without it, its input hash included."""
+        documents = []
+        for name, bom in (("plain.ring", b""), ("bom.ring", b"\xef\xbb\xbf")):
+            path = tmp_path / name
+            path.write_bytes(bom + b"ring m=1 n=1\nideal x1*y1\n")
+            code, out, err = run_cli(capsys, "seqcm", str(path), "--format", "json", "--verify")
+            assert code == 0 and err == ""
+            doc = json.loads(out.split("\nverified: ")[0])
+            documents.append({k: v for k, v in doc.items() if k != "file"})
+        assert documents[0] == documents[1]
+
     def test_file_that_is_not_utf8_is_three(self, tmp_path, capsys):
         """A file that cannot be decoded cannot be read: one line naming it,
         and the batch stops there."""
@@ -276,7 +289,7 @@ class TestExitCodes:
 
     def test_failed_verify_is_four(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setattr(
-            "seqcm.cli.verify_certificate", lambda doc, ideal: ["level 1: forged"]
+            "seqcm.cli.verify_certificate", lambda doc, problem: ["level 1: forged"]
         )
         first = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1*y1\n", "a.ring")
         second = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1\n", "b.ring")
@@ -387,9 +400,9 @@ def verify_tampered(capsys, monkeypatch, path, tamper, *argv, command="seqcm"):
     document changed by ``tamper`` between the run and its check."""
     import seqcm.cli as cli
 
-    def tampered_verify(doc, ideal):
+    def tampered_verify(doc, problem):
         tamper(doc)
-        return verify_certificate(doc, ideal)
+        return verify_certificate(doc, problem)
 
     monkeypatch.setattr(cli, "verify_certificate", tampered_verify)
     code, _, err = run_cli(capsys, command, path, "--verify", *argv)
@@ -426,7 +439,7 @@ class TestVerify:
         problem = parse_problem("ring m=2 n=2 field=QQ\nideal x1*y1\n")
         doc = run("seqcm", problem, VariableBlock.Q, 0)
         doc["verdict"]["filtration"]["levels"][0]["grade"] = 99
-        problems = verify_certificate(doc, problem.ideal)
+        problems = verify_certificate(doc, problem)
         assert problems
 
     @pytest.mark.parametrize(
@@ -828,13 +841,35 @@ class TestVerify:
         assert code == 4
         assert err.startswith(f"{path}: verify: {message}") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("command", ["cd", "seqcm"])
+    def test_forged_input_hash_is_four(self, capsys, monkeypatch, command):
+        """A document whose input hash is not the file's is not its
+        certificate, whatever else it says."""
+        path = str(CORPUS / "two_planes.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: doc.update(input_sha256="0" * 64),
+            command=command,
+        )
+        assert code == 4
+        assert err == f"{path}: verify: input_sha256 is not the hash of the input text\n"
+
+    def test_reordered_generators_are_the_input(self, capsys, monkeypatch):
+        """A document without a verdict is recomputed from the input, so
+        writing its generators in another order keeps it verified."""
+        path = str(CORPUS / "two_planes.ring")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: doc["generators"].reverse(),
+            command="filtration",
+        )
+        assert code == 0 and err == ""
+
     def test_base_is_compared_as_an_ideal(self):
         """A base written with other generators of the same ideal passes."""
         problem = parse_problem((CORPUS / "two_planes.ring").read_text())
         doc = run("seqcm", problem, VariableBlock.Q, 0)
         filtration = doc["verdict"]["filtration"]
         filtration["base"] = filtration["base"][::-1] + ["x1*x2*y1"]
-        assert verify_certificate(doc, problem.ideal) == []
+        assert verify_certificate(doc, problem) == []
 
 
 class TestCorpus:

@@ -123,6 +123,22 @@ class TestMembership:
         assert I.contains(R22.zero())
         assert not I.contains(R22.parse("x1*y1 + x2*y2"))
 
+    def test_constant_needs_no_basis(self, R22, monkeypatch):
+        """A homogeneous ideal holds a constant only when a generator is
+        constant, so deciding it runs no Buchberger, even with an empty memo."""
+        from collections import OrderedDict
+
+        runs = []
+
+        def counting(*args):
+            runs.append(1)
+            return buchberger(*args)
+
+        monkeypatch.setattr(groebner, "buchberger", counting)
+        monkeypatch.setattr(groebner, "_GB_MEMO", OrderedDict())
+        assert not Ideal(R22, (R22.parse("x1*y1 + x2*y2"),)).contains(R22.one())
+        assert runs == []
+
     def test_agrees_with_dense_linear_algebra(self):
         # Homogeneous generators keep the degree-6 oracle complete.
         rng = random.Random(42)

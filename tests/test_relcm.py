@@ -33,7 +33,6 @@ from seqcm.relcm import (
     grade_wrt,
     _draw_form,
     _monomial_grade,
-    _search_regular_form,
     _section_verdict,
     _solve_linear,
     h0_is_zero,
@@ -155,6 +154,13 @@ class TestRegularForms:
         assert not h0_is_zero(pair, Q)
         with pytest.raises(NoRegularFormError, match="H\\^0"):
             find_regular_linear_form(pair, Q, seed=0)
+
+    def test_zero_module_raises(self, R22):
+        """S/(1) and (x1)/(x1) are zero, so no form is regular on them."""
+        x1 = Ideal(R22, (R22.x(1),))
+        for pair in (IdealPair.cyclic(Ideal.unit(R22)), IdealPair(x1, x1)):
+            with pytest.raises(ZeroModuleError):
+                find_regular_linear_form(pair, Q, seed=0)
 
     def test_fast_path_matches_elimination_definition(self, R22):
         """Q-block, P-block and mixed forms: the pivot coordinate path
@@ -685,25 +691,20 @@ class TestCyclicFirst:
         accepts is regular by it."""
         import seqcm.relcm as relcm
 
-        search, verdict = relcm._search_regular_form, relcm._section_verdict
-        current = []
+        verdict = relcm._section_verdict
+        searched = []  # the pair of the running search, then its accepted forms
         outcomes = []
-
-        def searching(pair, block, rng, sequence=(), invariant=True):
-            current.append(pair.mod_form(*sequence))
-            try:
-                return search(pair, block, rng, sequence, invariant)
-            finally:
-                current.pop()
 
         def deciding(section, a, ell):
             got = verdict(section, a, ell)
-            if current:  # a candidate of the search
-                assert got == slow_is_regular(current[-1], ell), (current[-1], ell)
+            if searched and a is searched[0].a:  # a candidate; an invariant test has A = (1)
+                step = searched[0].mod_form(*searched[1:])
+                assert got == slow_is_regular(step, ell), (step, ell)
                 outcomes.append(got)
+                if got:
+                    searched.append(ell)
             return got
 
-        monkeypatch.setattr(relcm, "_search_regular_form", searching)
         monkeypatch.setattr(relcm, "_section_verdict", deciding)
         for field in (QQ, PrimeField(32003)):
             cases = random_level_cases(
@@ -712,6 +713,7 @@ class TestCyclicFirst:
             for pair, block in cases:
                 if not pair.is_cyclic():
                     for seed in (0, 1):
+                        searched[:] = [pair]
                         grade_wrt(pair, block, seed)
         assert outcomes.count(False) >= 300 and outcomes.count(True) >= 120
 
@@ -823,7 +825,7 @@ class TestCyclicFirst:
             for seed in range(12):
                 solves.clear()
                 verdicts.clear()
-                assert _search_regular_form(pair, Q, random.Random(seed))
+                assert find_regular_linear_form(pair, Q, seed)
                 assert solves == [1] and verdicts[-1] is True
                 rejected += verdicts.count(False)
         assert rejected >= 4
