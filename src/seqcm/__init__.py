@@ -53,7 +53,6 @@ from .groebner import (
     saturation,
 )
 from .hypersurface import (
-    CoefficientMatrix,
     HypersurfaceReport,
     SplitWitness,
     classify_hypersurface,

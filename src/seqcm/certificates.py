@@ -258,12 +258,14 @@ class _Fields(dict):
         return value
 
 
-# The JSON type of each field the check reads where a value of another type
-# would break the reading rather than fail a comparison (a boolean is not an
-# integer); a list of polynomials is checked where it is parsed.
+# The JSON type of each field the check reads by name (a boolean is not an
+# integer): a value of another type is one disagreement, not a broken read
+# or a false match.  A list of polynomials is checked where it is parsed.
 _FIELD_TYPES = {
     **dict.fromkeys(("block", "kind", "route", "h1", "h2"), ("string", (str,))),
-    **dict.fromkeys(("seed", "cd"), ("integer", (int,))),
+    **dict.fromkeys(("seed", "cd", "grade"), ("integer", (int,))),
+    **dict.fromkeys(("relative_cm", "decision"), ("boolean", (bool,))),
+    "offending_level": ("integer or null", (int, type(None))),
     **dict.fromkeys(("verdict", "filtration", "verify", "invariants"), ("object", (_Fields,))),
     "levels": ("list of objects", (list,)),
     "split": ("object or null", (_Fields, type(None))),
@@ -280,6 +282,13 @@ def _reading(problems: list, tag: str = ""):
     except _BadField as exc:
         if all(p.rpartition(": ")[2] != exc.args[0] for p in problems):
             problems.append(tag + exc.args[0])
+
+
+def _same(value, computed) -> bool:
+    """Whether a document value equals the computed one as JSON, so that
+    ``true``, ``1`` and ``1.0`` differ; for values ``_FIELD_TYPES`` does not
+    type (the ring, hypersurface invariants, a recomputed document's fields)."""
+    return json.dumps(value, sort_keys=True) == json.dumps(computed, sort_keys=True)
 
 
 def _input_sha256(text: str) -> str:
@@ -312,7 +321,8 @@ def verify_certificate(doc: dict, problem) -> list:
     Returns a list of human-readable disagreements (empty when everything
     checks out), among them an ideal that does not parse and each field
     that the check reads and the document lacks or has with the wrong JSON
-    type (``_FIELD_TYPES``; a ``seed`` is an integer, not a boolean).
+    type (``_FIELD_TYPES``; a ``seed`` is an integer, not a boolean).  A
+    value read untyped must equal the computed one as JSON (:func:`_same`).
     """
     doc = json.loads(json.dumps(doc), object_hook=_Fields)
     ideal, ring = problem.ideal, problem.ring
@@ -337,7 +347,7 @@ def verify_certificate(doc: dict, problem) -> list:
                 problems.append(f"cannot parse {name}: {exc}")
 
     with _reading(problems):
-        if doc["ring"] != _ring_doc(ring):
+        if not _same(doc["ring"], _ring_doc(ring)):
             problems.append("ring is not the input ring")
     with _reading(problems):
         if doc["input_sha256"] != _input_sha256(problem.text):
@@ -432,7 +442,7 @@ def _recomputed_problems(doc: dict, problem, block, seed) -> list:
     for key in sorted((doc.keys() | fresh.keys()) - {"file", "input_sha256", "ring", "generators"}):
         if key not in doc:
             problems.append(f"{key} is missing")
-        elif doc.get(key) != fresh.get(key):  # compared whole, so of any type
+        elif not _same(doc.get(key), fresh.get(key)):  # compared whole
             value = json.dumps(fresh.get(key), sort_keys=True)
             problems.append(f"{key} is not the recomputed {value}")
     return problems
@@ -469,7 +479,7 @@ def _hypersurface_problems(doc: dict, ideal: Ideal, problems: list) -> None:
         problems += [
             f"invariants {key} is not {value}"
             for key, value in _hypersurface_invariants(f).items()
-            if invariants[key] != value
+            if not _same(invariants[key], value)
         ]
     with _reading(problems):
         split = doc["split"]

@@ -53,6 +53,7 @@ from .groebner import (
     _monomial_ideal,
     saturation,
 )
+from .hypersurface import classify_hypersurface
 from .poly import BigradedRing, Polynomial, mono_divides, mono_support
 from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
 
@@ -347,8 +348,6 @@ def _routed_verdict(
             raise UnsupportedIdealClassError(
                 "principal ideals with block m should be relative CM"
             )
-        from .hypersurface import classify_hypersurface
-
         return classify_hypersurface(gens[0], block, seed, _report=report)
     raise UnsupportedIdealClassError(
         "supported classes: monomial ideals, principal bihomogeneous ideals, "

@@ -4,9 +4,10 @@ A bihomogeneous f of bidegree (a, b) expands as sum c_{alpha,beta} x^alpha
 y^beta, which is a matrix over the occurring x monomials and y monomials.
 S/fS is sequentially Cohen-Macaulay with respect to Q (equivalently P) iff f
 factors as h1(x) * h2(y), which happens exactly when that matrix has rank at
-most one; the split, when it exists, is read off a nonzero row and column
-and re-verified by exact expansion.  A returned None is backed by an
-exact rank computation certifying rank >= 2.
+most one.  The matrix is kept as sparse rows, f's terms grouped by their x
+part; the split, when it exists, is read off the row and the column of f's
+leading term and re-verified by exact expansion.  A returned None is backed
+by an exact rank computation certifying rank >= 2.
 
 When a, b > 0 and f = h1*h2, the two-level chain (f) ⊂ (middle) ⊂ (1) is a
 Cohen-Macaulay filtration, and the cd formula fixes the middle factor: h1
@@ -48,50 +49,29 @@ from .poly import BigradedRing, Polynomial
 from .relcm import CdGradeReport, IdealPair, VariableBlock, _rank, is_relative_cm
 
 
-@dataclass(frozen=True)
-class CoefficientMatrix:
-    """c_{alpha,beta} over the x monomials (rows) and y monomials (columns)
-    occurring in f, in descending monomial order; zero entries where the
-    product monomial is absent."""
-
-    ring: BigradedRing
-    rows: tuple  # x-part exponent tuples
-    cols: tuple  # y-part exponent tuples
-    entries: tuple  # tuple of row tuples of field elements
-
-    def reconstruct(self) -> Polynomial:
-        from .poly import mono_mul
-
-        terms = {}
-        for i, alpha in enumerate(self.rows):
-            for j, beta in enumerate(self.cols):
-                c = self.entries[i][j]
-                if c:
-                    terms[mono_mul(alpha, beta)] = c
-        return Polynomial._raw(self.ring, terms)
+def _parts(ring: BigradedRing, exps) -> tuple:
+    """The x part and the y part of an exponent tuple, each of the ring's width."""
+    m, n = ring.m, ring.n
+    return exps[:m] + (0,) * n, (0,) * m + exps[m:]
 
 
-def coefficient_matrix(f: Polynomial) -> CoefficientMatrix:
+def coefficient_matrix(f: Polynomial) -> dict:
     """The (x monomial) x (y monomial) coefficient matrix of a nonzero
-    bihomogeneous polynomial; lossless."""
+    bihomogeneous polynomial as sparse rows {x part: {y part: c}}, holding
+    f's terms only; lossless."""
     f.bidegree()  # raises on zero / non-bihomogeneous input
-    ring = f.ring
-    keyfn = ring.sort_key()
-    m, n = ring.m, ring.n  # key each term by its x part and its y part
-    table = {(e[:m] + (0,) * n, (0,) * m + e[m:]): c for e, c in f.terms.items()}
-    rows = sorted({ab[0] for ab in table}, key=keyfn, reverse=True)
-    cols = sorted({ab[1] for ab in table}, key=keyfn, reverse=True)
-    zero = ring.field.zero
-    entries = tuple(
-        tuple(table.get((alpha, beta), zero) for beta in cols) for alpha in rows
-    )
-    return CoefficientMatrix(ring, tuple(rows), tuple(cols), entries)
+    rows = {}
+    for exps, c in f.terms.items():
+        x, y = _parts(f.ring, exps)
+        rows.setdefault(x, {})[y] = c
+    return rows
 
 
-def exact_rank(entries, field) -> int:
-    """Rank of a dense matrix by the sparse row elimination that also gives
-    the Koszul ranks (:func:`seqcm.relcm._rank`); exact over any field."""
-    return _rank([{j: c for j, c in enumerate(row) if c} for row in entries], field)
+def exact_rank(rows, field) -> int:
+    """Rank of the rows, each a map column -> field element, by the sparse
+    elimination that also gives the Koszul ranks
+    (:func:`seqcm.relcm._rank`); exact over any field."""
+    return _rank([{k: c for k, c in row.items() if c} for row in rows], field)
 
 
 @dataclass(frozen=True)
@@ -105,22 +85,22 @@ class SplitWitness:
 def rank_one_split(f: Polynomial):
     """The split f = h1(x)*h2(y) when the coefficient matrix has rank <= 1.
 
-    Built from the first nonzero entry in canonical order, verified by exact
-    expansion, and normalized with h2 monic.  Returns None when no split
-    exists, in which case :func:`exact_rank` certifies rank >= 2.
+    Read off the row and the column of f's leading term, verified by exact
+    expansion, and normalized with h2 monic, which makes it unique.  Returns
+    None when no split exists, in which case :func:`exact_rank` certifies
+    rank >= 2.
     """
-    matrix = coefficient_matrix(f)
+    rows = coefficient_matrix(f)
     ring = f.ring
-    entries = matrix.entries  # f != 0 guarantees a nonzero entry
-    i0, j0 = next((i, j) for i, row in enumerate(entries) for j, c in enumerate(row) if c)
-    inv = ring.field.one / entries[i0][j0]
-    h1_terms = {x: row[j0] * inv for x, row in zip(matrix.rows, entries) if row[j0]}
-    h1 = Polynomial._raw(ring, h1_terms)
-    h2 = Polynomial._raw(ring, {y: c for y, c in zip(matrix.cols, entries[i0]) if c})
+    lead = f.leading_monomial()
+    x0, y0 = _parts(ring, lead)
+    inv = ring.field.one / f.terms[lead]
+    h1 = Polynomial._raw(ring, {x: row[y0] * inv for x, row in rows.items() if y0 in row})
+    h2 = Polynomial._raw(ring, rows[x0])
     if h1 * h2 == f:
         lc = h2.leading_coefficient()
         return SplitWitness(h1.scale(lc), h2.scale(ring.field.one / lc))
-    if exact_rank(entries, ring.field) <= 1:
+    if exact_rank(rows.values(), ring.field) <= 1:
         raise CertificateVerificationError("rank <= 1 but the split failed to expand")
     return None
 

@@ -233,9 +233,8 @@ class Polynomial:
             raise ZeroPolynomialError("the zero polynomial has no bidegree")
         degs = {self._term_bidegree(e) for e in self.terms}
         if len(degs) > 1:
-            raise NotBihomogeneousError(
-                f"terms of distinct bidegrees {sorted(degs)} in {self}"
-            )
+            shown = ", ".join(map(str, sorted(degs)))
+            raise NotBihomogeneousError(f"terms of distinct bidegrees {shown} in {self}")
         return degs.pop()
 
     def total_degree(self) -> int:
@@ -443,6 +442,11 @@ def _tokens(text: str, line: int, column: int) -> list:
     return tokens
 
 
+def _shown(text: str) -> str:
+    """A token as an error message names it: only the end token is empty."""
+    return repr(text) if text else "end of input"
+
+
 def parse_polynomial(
     ring: BigradedRing, text: str, line: int = 1, column: int = 1
 ) -> Polynomial:
@@ -512,10 +516,12 @@ def parse_polynomial(
             inner = parse_expr()
             kind, val, ln, col = tokens.pop()
             if kind != "op" or val != ")":
-                raise ParseError(f"expected ')', found {val!r}", ln, col)
+                raise ParseError(f"expected ')', found {_shown(val)}", ln, col)
             depth -= 1
             return inner
-        raise ParseError(f"expected a coefficient, variable, or '(', found {val!r}", ln, col)
+        raise ParseError(
+            f"expected a coefficient, variable, or '(', found {_shown(val)}", ln, col
+        )
 
     result = parse_expr()
     kind, val, ln, col = tokens[-1]

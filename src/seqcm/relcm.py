@@ -372,18 +372,26 @@ def _faces_below(face: int):
 
 
 def _rank(rows, field) -> int:
-    """Rank of the rows, each a map column -> nonzero field element."""
-    pivots = {}  # leading column -> row scaled to a leading one
+    """Rank of the rows, each a map column -> nonzero field element: the
+    number of pivots of :func:`_echelon`."""
+    return len(_echelon(rows, field))
+
+
+def _echelon(rows, field) -> dict:
+    """Forward elimination of the rows, each a map column -> nonzero field
+    element, which it consumes: {pivot: row scaled to one there}, the pivot
+    of a row being its largest column."""
+    pivots = {}
     for row in rows:
         while row:
-            col = min(row)
+            col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
                 inv = field.one / row[col]
                 pivots[col] = {k: v * inv for k, v in row.items()}
                 break
             _subtract_row(row, row[col], pivot, field.zero)
-    return len(pivots)
+    return pivots
 
 
 def _subtract_row(row: dict, c, other: dict, zero) -> None:
@@ -437,29 +445,25 @@ def _pivot_substitution(ring: BigradedRing, ell: Polynomial, pivot: int) -> Poly
 
 def _solve_linear(ring: BigradedRing, gens) -> tuple:
     """The section (subs, rest) of the ideal of homogeneous generators: the
-    linear ones solved by Gaussian elimination, each for its largest-index
+    linear ones solved by :func:`_echelon`, each for its largest-index
     variable, as substitutions [(variable, replacement)], and the others
-    with the substitutions applied.  No replacement involves a solved
-    variable, so the substitutions apply one by one."""
+    with the substitutions applied.  One back-substitution pass clears each
+    pivot row of the smaller pivots, so no replacement involves a solved
+    variable and the substitutions apply one by one."""
     field = ring.field
-    rows = {}  # solved variable -> its row {variable: coefficient}, one there
-    rest = []
+    linear, rest = [], []
     for g in gens:
-        if sum(next(iter(g.terms))) != 1:
-            rest.append(g)
-            continue
-        row = {exps.index(1): c for exps, c in g.terms.items()}
-        for p, solved in rows.items():
-            if p in row:
-                _subtract_row(row, row[p], solved, field.zero)
-        if row:
-            p = max(row)
-            inv = field.one / row[p]
-            row = {k: c * inv for k, c in row.items()}
-            for solved in rows.values():
-                if p in solved:
-                    _subtract_row(solved, solved[p], row, field.zero)
-            rows[p] = row
+        (linear if sum(next(iter(g.terms))) == 1 else rest).append(g)
+    if not linear:
+        return [], rest
+    rows = _echelon([{e.index(1): c for e, c in g.terms.items()} for g in linear], field)
+    done = []  # the pivots below p, whose rows are already cleared
+    for p in sorted(rows):
+        row = rows[p]
+        for q in done:
+            if q in row:
+                _subtract_row(row, row[q], rows[q], field.zero)
+        done.append(p)
     subs = []
     for p, row in rows.items():
         del row[p]

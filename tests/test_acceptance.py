@@ -118,7 +118,7 @@ def _rank_two_instances():
             )
         else:
             f = random_bihomogeneous(rng, ring, a, b)
-        if exact_rank(coefficient_matrix(f).entries, ring.field) >= 2:
+        if exact_rank(coefficient_matrix(f).values(), ring.field) >= 2:
             instances.append((ring, f))
     return instances
 

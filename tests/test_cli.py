@@ -102,6 +102,57 @@ class TestExitCodes:
         code, out, _ = run_cli(capsys, "depth", path, "--format", "json")
         assert code == 0 and json.loads(out)["invariants"]["depth"] == 1
 
+    @pytest.mark.parametrize(
+        "command,text,code,message",
+        [
+            ("cd", "ring m=1 n=1\nring m=1 n=1\nideal x1\n", 3,
+             "parse error: duplicate ring statement (line 2, column 1)"),
+            ("cd", "ring m=1 n=1\nideal x1\nideal y1\n", 3,
+             "parse error: duplicate ideal statement (line 3, column 1)"),
+            ("cd", "ring m=1 n=1\nfoo x\n", 3,
+             "parse error: unknown statement 'foo' (line 2, column 1)"),
+            ("cd", "", 3, "parse error: missing ring statement (line 1, column 1)"),
+            ("cd", "ring m=1 n=1\n", 3,
+             "parse error: missing ideal statement (line 1, column 1)"),
+            ("cd", "ring m=1\nideal x1\n", 3, "parse error: ring needs n=... (line 1, column 1)"),
+            ("cd", "ring m=1 n=0\nideal x1\n", 3,
+             "parse error: need m >= 0, n >= 1 (line 1, column 6)"),
+            ("cd", "ring m n=1\nideal x1\n", 3,
+             "parse error: expected key=value, found 'm' (line 1, column 6)"),
+            ("cd", "ring m=1 n=1\nideal x1^y1\n", 3,
+             "parse error: exponent must be a nonnegative integer (line 2, column 10)"),
+            ("cd", "ring m=1 n=1\nideal 1/x1\n", 3,
+             "parse error: denominator must be a nonzero integer (line 2, column 9)"),
+            ("cd", "ring m=1 n=1\nideal (x1\n", 3,
+             "parse error: expected ')', found end of input (line 2, column 10)"),
+            ("cd", "ring m=1 n=1\nideal x1 + *\n", 3,
+             "parse error: expected a coefficient, variable, or '(', found '*' "
+             "(line 2, column 12)"),
+            ("cd", "ring m=1 n=1\nideal x1 +\n", 3,
+             "parse error: expected a coefficient, variable, or '(', found end of input "
+             "(line 2, column 11)"),
+            ("hypersurface", "ring m=1 n=1\nideal x1*y1, y1\n", 2,
+             "unsupported input: hypersurface command needs exactly one nonzero generator"),
+            ("hypersurface", "ring m=1 n=1\nideal x1*y1 + 1\n", 2,
+             "unsupported input: terms of distinct bidegrees (0, 0), (1, 1) in x1*y1 + 1"),
+            ("tensorcheck", "ring m=1 n=1\nideal x1*y1\n", 2,
+             "unsupported input: generator x1*y1 mixes x and y variables"),
+        ],
+        ids=(
+            "duplicate_ring", "duplicate_ideal", "unknown_statement", "empty_file",
+            "missing_ideal", "ring_without_n", "ring_n_zero", "bare_key", "exponent",
+            "denominator", "unclosed_parenthesis", "operator_as_atom", "end_as_atom",
+            "hypersurface_two_generators", "hypersurface_distinct_bidegrees",
+            "tensorcheck_mixed_generator",
+        ),
+    )
+    def test_problem_error_is_one_line(self, tmp_path, capsys, command, text, code, message):
+        """Each refusal of a problem file or of its ideal class is one stderr
+        line naming the file, at its line and column for a parse error; the
+        end of the text is named as such."""
+        path = write_problem(tmp_path, text)
+        assert run_cli(capsys, command, path) == (code, "", f"{path}: {message}\n")
+
     def test_parse_error_is_three(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x3\n")
         code, _, err = run_cli(capsys, "seqcm", path)
@@ -407,6 +458,10 @@ def verify_tampered(capsys, monkeypatch, path, tamper, *argv, command="seqcm"):
     monkeypatch.setattr(cli, "verify_certificate", tampered_verify)
     code, _, err = run_cli(capsys, command, path, "--verify", *argv)
     return code, err
+
+
+def first_level(doc):
+    return doc["verdict"]["filtration"]["levels"][0]
 
 
 def zero_torsion_level(only_level):
@@ -770,13 +825,35 @@ class TestVerify:
              "split is not a JSON object or null"),
             ("split_binomial", "hypersurface", lambda doc: doc["split"].update(h1=5),
              "h1 is not a JSON string"),
+            ("two_planes", "seqcm", lambda doc: first_level(doc).update(grade=1.0),
+             "level 1: grade is not a JSON integer"),
+            ("two_planes", "seqcm", lambda doc: first_level(doc).update(relative_cm=1),
+             "level 1: relative_cm is not a JSON boolean"),
+            ("two_planes", "seqcm", lambda doc: doc["verdict"].update(decision=1),
+             "decision is not a JSON boolean"),
+            ("two_planes", "seqcm", lambda doc: doc["ring"].update(m=2.0),
+             "ring is not the input ring"),
+            ("two_planes", "seqcm", lambda doc: doc["invariants"].update(grade=True),
+             "grade is not a JSON integer"),
+            ("two_planes", "cd", lambda doc: doc["invariants"].update(cd=True),
+             'invariants is not the recomputed {"cd": 1}'),
+            ("two_planes", "relcm",
+             lambda doc: doc["invariants"].update(cd=True, grade=True, relative_cm=1),
+             'invariants is not the recomputed {"cd": 1, "grade": 1, "relative_cm": true}'),
+            ("quadric_rank2", "hypersurface", lambda doc: doc["invariants"].update(a=1.0),
+             "invariants a is not 1"),
+            ("quadric_rank2", "hypersurface", lambda doc: doc["verdict"].update(decision=0),
+             "decision is not a JSON boolean"),
         ],
         ids=(
             "block_number", "block_unknown", "generators", "levels", "level_list", "level_cd",
             "level_verify",
             "level_kind", "level_quotient", "verdict", "invariants", "seed_string",
             "seed_string_cd", "seed_boolean_cd", "invariants_hypersurface", "split",
-            "split_h1",
+            "split_h1", "level_grade_float", "level_relative_cm_integer",
+            "decision_integer", "ring_float", "invariants_grade_boolean",
+            "invariants_cd_boolean", "invariants_relcm_mixed", "hypersurface_a_float",
+            "hypersurface_decision_integer",
         ),
     )
     def test_field_of_the_wrong_type_is_four(
@@ -784,7 +861,8 @@ class TestVerify:
     ):
         """A field that the check reads and that has the wrong JSON type is
         one disagreement naming it, as a missing field is, not an error of
-        the check; a seed is an integer and not a boolean."""
+        the check; a seed is an integer and not a boolean.  A value compared
+        with a computed one must be it as JSON: true, 1 and 1.0 differ."""
         path = str(CORPUS / f"{name}.ring")
         code, err = verify_tampered(
             capsys, monkeypatch, path, tamper, "--wrt", "Q", command=command

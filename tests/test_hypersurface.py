@@ -15,7 +15,7 @@ from seqcm.hypersurface import (
     hypersurface_stats,
     rank_one_split,
 )
-from seqcm.poly import BigradedRing
+from seqcm.poly import BigradedRing, Polynomial, mono_mul
 from seqcm.relcm import IdealPair, VariableBlock, cd_wrt, grade_wrt, is_relative_cm
 
 P, Q = VariableBlock.P, VariableBlock.Q
@@ -61,28 +61,34 @@ def fraction_gauss_rank(entries):
 
 class TestCoefficientMatrix:
     def test_identity_pattern(self, R22, segre_quadric):
-        matrix = coefficient_matrix(segre_quadric)
-        assert len(matrix.rows) == 2 and len(matrix.cols) == 2
-        flat = [[1 if c else 0 for c in row] for row in matrix.entries]
-        assert flat == [[1, 0], [0, 1]]
+        rows = coefficient_matrix(segre_quadric)
+        assert len(rows) == 2
+        assert [len(row) for row in rows.values()] == [1, 1]
+        assert len({y for row in rows.values() for y in row}) == 2
 
     def test_single_column(self, R22):
         f = (R22.x(1) + R22.x(2)) * R22.y(1)
-        matrix = coefficient_matrix(f)
-        assert len(matrix.rows) == 2 and len(matrix.cols) == 1
-        assert all(row[0] == 1 for row in matrix.entries)
+        rows = coefficient_matrix(f)
+        assert len(rows) == 2 and len({y for row in rows.values() for y in row}) == 1
+        assert all(c == 1 for row in rows.values() for c in row.values())
 
     def test_degenerate_column_label(self, R22):
-        matrix = coefficient_matrix(R22.parse("x1^2"))
-        assert matrix.cols == ((0, 0, 0, 0),)
-        assert matrix.entries == ((R22.field.one,),)
+        rows = coefficient_matrix(R22.parse("x1^2"))
+        assert rows == {(2, 0, 0, 0): {(0, 0, 0, 0): R22.field.one}}
 
     def test_reconstruction_round_trip(self, R22):
+        """The sparse rows hold f's nonzero terms, split into an x part and
+        a y part, and re-expand to f."""
         rng = random.Random(90)
+        m = R22.m
         for _ in range(30):
             a, b = rng.randint(0, 3), rng.randint(0, 3)
             f = random_bihomogeneous(rng, R22, a, b)
-            assert coefficient_matrix(f).reconstruct() == f
+            rows = coefficient_matrix(f)
+            for x, row in rows.items():
+                assert not any(x[m:]) and all(c and not any(y[:m]) for y, c in row.items())
+            terms = {mono_mul(x, y): c for x, row in rows.items() for y, c in row.items()}
+            assert Polynomial(R22, terms) == f and len(terms) == len(f.terms)
 
     def test_rejects_bad_inputs(self, R22):
         with pytest.raises(ZeroPolynomialError):
@@ -91,12 +97,17 @@ class TestCoefficientMatrix:
             coefficient_matrix(R22.x(1) + R22.y(1))
 
 
+def as_maps(entries):
+    """Dense rows as maps column -> entry, zero entries kept."""
+    return [dict(enumerate(row)) for row in entries]
+
+
 class TestExactRank:
     def test_known_ranks(self, R22):
         one, zero = R22.field.one, R22.field.zero
-        assert exact_rank(((one, zero), (zero, one)), R22.field) == 2
-        assert exact_rank(((one, one), (one, one)), R22.field) == 1
-        assert exact_rank(((zero,),), R22.field) == 0
+        assert exact_rank(as_maps(((one, zero), (zero, one))), R22.field) == 2
+        assert exact_rank(as_maps(((one, one), (one, one))), R22.field) == 1
+        assert exact_rank(as_maps(((zero,),)), R22.field) == 0
 
     def test_matches_independent_gauss(self, R22):
         rng = random.Random(91)
@@ -106,7 +117,7 @@ class TestExactRank:
                 tuple(Fraction(rng.randint(-3, 3)) for _ in range(nc))
                 for _ in range(nr)
             )
-            assert exact_rank(entries, R22.field) == fraction_gauss_rank(entries)
+            assert exact_rank(as_maps(entries), R22.field) == fraction_gauss_rank(entries)
 
 
 class TestRankOneSplit:
@@ -139,7 +150,7 @@ class TestRankOneSplit:
             a, b = rng.randint(1, 2), rng.randint(1, 2)
             f = random_bihomogeneous(rng, R22, a, b)
             witness = rank_one_split(f)
-            rank = exact_rank(coefficient_matrix(f).entries, R22.field)
+            rank = exact_rank(coefficient_matrix(f).values(), R22.field)
             assert (witness is None) == (rank >= 2)
 
 
