@@ -323,27 +323,26 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
 # ---- rendering -----------------------------------------------------------------------
 
 
-def _render_text(value, indent: int = 0, label: str | None = None) -> list:
-    pad = "  " * indent
-    lines = []
-    head = f"{pad}{label}:" if label is not None else None
-    if isinstance(value, dict):
-        if head:
-            lines.append(head)
+def _render_text(value) -> list:
+    """The lines of a document value in YAML block style: a nonempty dict
+    or list opens an indented block, each list item is marked ``- ``, and
+    an empty one reads ``{}`` or ``[]``, so every nesting reads apart."""
+    if isinstance(value, dict) and value:
+        lines = []
         for key in sorted(value):
-            lines.extend(_render_text(value[key], indent + (1 if head else 0), key))
-    elif isinstance(value, list):
-        if head:
-            lines.append(head)
+            inner = _render_text(value[key])
+            if isinstance(value[key], (dict, list)) and value[key]:
+                lines += [f"{key}:", *("  " + line for line in inner)]
+            else:
+                lines.append(f"{key}: {inner[0]}")
+        return lines
+    if isinstance(value, list) and value:
+        lines = []
         for item in value:
-            lines.extend(_render_text(item, indent + (1 if head else 0), None))
-    else:
-        text = json.dumps(value) if not isinstance(value, str) else value
-        if label is not None:
-            lines.append(f"{pad}{label}: {text}")
-        else:
-            lines.append(f"{pad}{text}")
-    return lines
+            first, *rest = _render_text(item)
+            lines += [f"- {first}", *("  " + line for line in rest)]
+        return lines
+    return [value if isinstance(value, str) else json.dumps(value)]
 
 
 def render_document(doc: dict, fmt: str) -> str:

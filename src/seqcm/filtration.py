@@ -272,7 +272,7 @@ def _cd_le_1_verdict(I: Ideal, block: VariableBlock, seed: int) -> SeqCMVerdict:
     """cd <= 1 always admits the chain I ⊊ sat(I) ⊊ (1) with level cds (0, 1)."""
     ring = I.ring
     sat = saturation(I, block.ideal(ring))
-    if sat.is_unit_ideal() or I.contains_ideal(sat):
+    if sat.is_unit_ideal() or sat is I:  # saturation returns a saturated I itself
         raise CertificateVerificationError(
             "cd<=1 route expects a proper, strictly larger saturation"
         )

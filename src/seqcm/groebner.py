@@ -25,9 +25,10 @@ from __future__ import annotations
 
 import threading
 from collections import OrderedDict
+from itertools import combinations
 from typing import Iterable, Sequence
 
-from .errors import RingMismatchError, ZeroPolynomialError
+from .errors import NotMonomialError, RingMismatchError, ZeroPolynomialError
 from .orders import MonomialOrder
 from .poly import (
     BigradedRing,
@@ -381,8 +382,6 @@ class Ideal:
 
     def minimal_monomial_generators(self) -> tuple:
         """Exponent tuples of the unique minimal monomial generators."""
-        from .errors import NotMonomialError
-
         if not self.is_monomial_ideal():
             raise NotMonomialError(f"{self} is not a monomial ideal")
         return _minimal_monomials(e for g in self.gens for e in g.terms)
@@ -602,8 +601,6 @@ def krull_dim(I: Ideal) -> int:
     variables = [v for v in range(nv) if v not in dead]
     if not supports:
         return len(variables)
-    from itertools import combinations
-
     for size in range(len(variables), 0, -1):
         for combo in combinations(variables, size):
             u = frozenset(combo)

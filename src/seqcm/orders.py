@@ -1,5 +1,9 @@
 """Global monomial orders: grevlex and block elimination orders.
 
+An order stores only its parameters: it eliminates exactly when its
+``block`` is positive, and is grevlex otherwise, with at most one variable
+(``last_var``) rotated to the smallest position.
+
 An order is exposed as a sort key on exponent tuples, so ``max(terms,
 key=order.sort_key(nvars))`` picks the leading monomial.  All orders here are
 global (1 is minimal), total, and compatible with multiplication, which is
@@ -19,9 +23,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from operator import neg
 
-GREVLEX = "grevlex"
-ELIMINATE = "block-eliminate"
-
 _KEY_FUNCTIONS = 32  # cached key functions, one per (order, nvars)
 _KEYS_PER_FUNCTION = 2048  # cached keys per key function
 
@@ -32,29 +33,29 @@ def _grevlex_key(exps):
 
 @dataclass(frozen=True)
 class MonomialOrder:
-    """Order tag plus parameters; hashable so it can key Groebner caches.
+    """Order parameters, hashable so they can key Groebner caches.
 
-    ``block-eliminate`` compares the first ``block`` variables grevlex-first,
-    so it eliminates those leading variables.  ``last_var``
-    (built by :meth:`variable_last`) selects a grevlex variant with one
-    chosen variable rotated to the smallest position; it is plain grevlex
-    after relabeling, and it puts any variable where the colon-by-variable
-    and regular-form fast paths read it off the initial ideal.
+    ``block > 0`` makes a block elimination order: the first ``block``
+    variables are compared grevlex first, so those leading variables are
+    eliminated.  Otherwise the order is grevlex, and ``last_var`` (built by
+    :meth:`variable_last`) rotates one chosen variable to the smallest
+    position; that is plain grevlex after relabeling, and it puts any
+    variable where the colon-by-variable and regular-form fast paths read
+    it off the initial ideal.
     """
 
-    tag: str = GREVLEX
     block: int = 0
     last_var: int | None = None
 
     @classmethod
     def grevlex(cls) -> "MonomialOrder":
-        return cls(GREVLEX)
+        return cls()
 
     @classmethod
     def eliminate(cls, block: int) -> "MonomialOrder":
         if block < 1:
             raise ValueError("elimination block must contain a variable")
-        return cls(ELIMINATE, block=block)
+        return cls(block=block)
 
     @classmethod
     def variable_last(cls, var_index: int, nvars: int) -> "MonomialOrder":
@@ -62,7 +63,7 @@ class MonomialOrder:
         last variable already, so both spellings share one basis memo key."""
         if var_index == nvars - 1:
             return cls.grevlex()
-        return cls(GREVLEX, last_var=var_index)
+        return cls(last_var=var_index)
 
     def sort_key(self, nvars: int):
         """Return a key function on exponent tuples of length ``nvars``.
@@ -73,26 +74,17 @@ class MonomialOrder:
         return _cached_key_function(self, nvars)
 
     def _uncached_key(self, nvars: int):
-        if self.tag == ELIMINATE:
+        if self.block:
             k = self.block
             if k >= nvars:
                 raise ValueError("elimination block swallows the whole ring")
             return lambda e: _grevlex_key(e[:k]) + _grevlex_key(e[k:])
-        if self.tag == GREVLEX:
-            if self.last_var is None:
-                return _grevlex_key
-            v = self.last_var
-            if not (0 <= v < nvars):
-                raise ValueError("rotated variable index out of range")
-            return lambda e: _grevlex_key(e[:v] + e[v + 1 :] + (e[v],))
-        raise ValueError(f"unknown order tag {self.tag!r}")
-
-    def __str__(self):
-        if self.tag == ELIMINATE:
-            return f"{self.tag}({self.block})"
-        if self.last_var is not None:
-            return f"{self.tag}[last={self.last_var}]"
-        return self.tag
+        if self.last_var is None:
+            return _grevlex_key
+        v = self.last_var
+        if not (0 <= v < nvars):
+            raise ValueError("rotated variable index out of range")
+        return lambda e: _grevlex_key(e[:v] + e[v + 1 :] + (e[v],))
 
 
 @lru_cache(maxsize=_KEY_FUNCTIONS)

@@ -80,10 +80,12 @@ Two choices of J meet A ∩ J = B':
          always.  An accepted l keeps it when l is regular on S/(A + L):
          for x = b + y + l·s in A with b in B and y in L, s lies in A + L,
          say s = a' + y', and x - l·a' lies in A ∩ (B + L).
-Once the invariant fails, a step takes J = B' itself.  The P, Q and m
-blocks share this coordinate path: a drawn form's pivot is its block's last
-variable.  The test suite keeps the elimination route of the colon as the
-reference for both tests.
+Once the invariant fails, a step takes J = B' itself.  Either way the
+step's exact H^0 decision reads the same J, as the pair (A + J, J):
+(A + J)/J ≅ A/(A ∩ J) = A/B'.  The P, Q and m blocks share this
+coordinate path: a drawn form's pivot is its block's last variable.  The
+test suite keeps the elimination route of the colon as the reference for
+both tests.
 """
 
 from __future__ import annotations
@@ -177,13 +179,6 @@ class IdealPair:
 
     def is_zero_module(self) -> bool:
         return self.b.contains_ideal(self.a)
-
-    def mod_form(self, *forms: Polynomial) -> "IdealPair":
-        """The pair for (A/B)/(L·(A/B)) = A/(B + L·A), L the ideal of the
-        forms: B's generators, then l·a over the generators a of A for each
-        form l in turn (the generator order keys the basis memo)."""
-        gens = self.b.gens + tuple(ell * g for ell in forms for g in self.a.gens)
-        return IdealPair(self.a, Ideal(self.ring, gens), _trusted=True)
 
     def __repr__(self):
         return f"IdealPair(A={self.a!r}, B={self.b!r})"
@@ -560,14 +555,15 @@ def grade_wrt(
       - on a non-cyclic pair, while the invariant A ∩ (B + L) = B + L·A
         holds, it first tests that the last accepted form keeps it
         (:func:`is_regular_form` on S/(A + the earlier forms));
-      - it computes the section of J once, J = B + L while the invariant
-        holds and B + L·A after, and gives every candidate the section
-        test of the module docstring against it;
+      - it builds one ideal J, B + L while the invariant holds and
+        B + L·A after, computes its section once and gives every
+        candidate the section test of the module docstring against it;
       - candidates come from a stream seeded by ``seed``, their integer
         coefficient span widening by one on every retry;
       - once ``_EXACT_H0_AFTER + 1`` candidates have failed, H^0 of
-        A/(B + L·A) is decided exactly, and a nonzero H^0 ends the search
-        (a regular form drawn before that proves H^0 = 0 on its own);
+        A/(B + L·A) is decided exactly on (A + J)/J, which is isomorphic
+        to it, and a nonzero H^0 ends the search (a regular form drawn
+        before that proves H^0 = 0 on its own);
       - after ``RETRY_BUDGET`` failed candidates it raises
         :class:`NoRegularFormError` (the field is too small).
     The search is bounded by the block size.  The returned value is seed
@@ -596,14 +592,16 @@ def grade_wrt(
         if invariant and sequence and not pair.is_cyclic():  # kept by the last form?
             earlier = Ideal(ring, sequence[:-1])
             invariant = is_regular_form(IdealPair.cyclic(pair.a + earlier), sequence[-1])
-        step = None if invariant else pair.mod_form(*sequence)
-        section = _solve_linear(ring, step.b.gens if step else (*pair.b.gens, *sequence))
+        j = pair.b  # B + L while the invariant holds, B + L·A after
+        for ell in sequence:
+            j += Ideal(ring, (ell,)) if invariant else pair.a.scaled_by(ell)
+        section = _solve_linear(ring, j.gens)
         for attempt in range(RETRY_BUDGET):
             ell = _draw_form(ring, indices, rng, 1 + attempt)
             if _section_verdict(section, pair.a, ell):
                 break
-            if attempt == _EXACT_H0_AFTER:
-                if not h0_is_zero(step or pair.mod_form(*sequence), block):
+            if attempt == _EXACT_H0_AFTER:  # (A + J)/J ≅ A/(B + L·A)
+                if not h0_is_zero(IdealPair(pair.a + j, j, _trusted=True), block):
                     return GradeWitness(tuple(sequence))
         else:
             raise NoRegularFormError(

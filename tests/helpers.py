@@ -36,6 +36,7 @@ from seqcm.poly import BigradedRing, Polynomial, mono_degree, mono_divides, mono
 from seqcm.relcm import (
     _EXACT_H0_AFTER,
     RETRY_BUDGET,
+    IdealPair,
     VariableBlock,
     _draw_form,
     _pivot_substitution,
@@ -265,7 +266,7 @@ def exact_grade_search(pair, block, seed: int = 0) -> tuple:
         else:
             raise NoRegularFormError("the reference search exhausted its retry budget")
         sequence.append(ell)
-        pair = pair.mod_form(ell)
+        pair = IdealPair(pair.a, pair.b + pair.a.scaled_by(ell), _trusted=True)
     return tuple(sequence)
 
 

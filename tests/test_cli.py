@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from seqcm.cli import main, parse_problem, run, verify_certificate
+from seqcm.cli import main, parse_problem, render_document, run, verify_certificate
 from seqcm.errors import ParseError
 from seqcm.relcm import VariableBlock
 
@@ -351,6 +351,32 @@ class TestExitCodes:
         assert "verified" not in out
 
 
+class TestTextFormat:
+    @pytest.mark.parametrize(
+        "one,other",
+        [
+            (
+                [["x1*y1", "x1*y2"], ["x1"], ["1"]],
+                [["x1*y1"], ["x1*y2"], ["x1"], ["1"]],
+            ),
+            ([["y1", "y2"]], [["y1"], ["y2"]]),
+            ([{"cd": 1, "level": 1}], [{"cd": 1}, {"level": 1}]),
+            ({"chain": []}, {"chain": {}}),
+        ],
+        ids=("chain", "radicals", "levels", "empty"),
+    )
+    def test_nestings_render_apart(self, one, other):
+        """Two documents that differ only in how their values nest read
+        differently in the text format."""
+        assert render_document({"v": one}, "text") != render_document({"v": other}, "text")
+
+    def test_filtration_chain_marks_its_levels(self, tmp_path, capsys):
+        path = write_problem(tmp_path, "ring m=1 n=2 field=QQ\nideal x1*y1, x1*y2\n")
+        code, out, _ = run_cli(capsys, "filtration", path, "--wrt", "Q")
+        assert code == 0
+        assert "\nchain:\n  - - x1*y1\n    - x1*y2\n  - - x1\n  - - 1\n" in out
+
+
 class TestDeterminism:
     def test_byte_identical_output(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=2 n=2 field=QQ\nideal x1*y1\n")
@@ -462,6 +488,10 @@ def verify_tampered(capsys, monkeypatch, path, tamper, *argv, command="seqcm"):
 
 def first_level(doc):
     return doc["verdict"]["filtration"]["levels"][0]
+
+
+def swap_first_two_cds(levels):
+    levels[0]["cd"], levels[1]["cd"] = levels[1]["cd"], levels[0]["cd"]
 
 
 def zero_torsion_level(only_level):
@@ -589,10 +619,25 @@ class TestVerify:
                 lambda levels: levels.insert(0, zero_torsion_level(levels[0])),
                 "level 1: h0 quotient is zero: of is saturated",
             ),
+            (
+                "split_binomial", "Q",
+                lambda levels: levels[0].update(ideal=["x1", "x2"]),
+                "level 1: cyclic level ideal is neither (1) nor principal",
+            ),
+            (
+                "torsion_then_line", "Q",
+                lambda levels: levels[0].update(ideal=["x1", "y1"]),
+                "level 1: stored ideal is not the saturation",
+            ),
+            (
+                "split_monomial", "Q",
+                swap_first_two_cds,
+                "level cds [2, 1] not strictly increasing",
+            ),
         ],
         ids=(
             "cyclic_ideal_P", "cyclic_ideal_Q", "pair_b", "h0_of", "cyclic_quotient",
-            "zero_h0_level",
+            "zero_h0_level", "cyclic_ideal_not_principal", "h0_ideal", "cds_swapped",
         ),
     )
     def test_broken_chain_link_is_four(
@@ -601,7 +646,9 @@ class TestVerify:
         """One level's record changed so that it no longer presents the level
         over the one below, while the recomputed cd and grade still match,
         or a zero H^0 level inserted: each level's record must be
-        D_i/D_{i-1}, with D_{i-1} ⊊ D_i."""
+        D_i/D_{i-1}, with D_{i-1} ⊊ D_i.  A cyclic level ideal must be (1)
+        or principal, an h0 level's ideal the saturation, and the level cds
+        must increase."""
         path = str(CORPUS / f"{name}.ring")
         code, err = verify_tampered(
             capsys, monkeypatch, path,
@@ -770,8 +817,12 @@ class TestVerify:
                 "level 1: verify",
             ),
             ("quadric_rank2", "hypersurface", lambda doc: doc.pop("split"), "split"),
+            ("two_planes", "cd", lambda doc: doc.pop("invariants"), "invariants"),
         ],
-        ids=("route", "decision", "invariants", "seed", "block", "level_verify", "split"),
+        ids=(
+            "route", "decision", "invariants", "seed", "block", "level_verify", "split",
+            "cd_invariants",
+        ),
     )
     def test_missing_field_is_four(self, capsys, monkeypatch, name, command, tamper, message):
         """A missing field that the check reads is one disagreement naming
@@ -805,6 +856,9 @@ class TestVerify:
             ("two_planes", "seqcm",
              lambda doc: doc["verdict"]["filtration"]["levels"][0]["verify"].update(kind=[]),
              "level 1: kind is not a JSON string"),
+            ("two_planes", "seqcm",
+             lambda doc: doc["verdict"]["filtration"]["levels"][0]["verify"].update(kind="foo"),
+             "level 1: unknown verify kind 'foo'"),
             ("two_planes", "seqcm",
              lambda doc: doc["verdict"]["filtration"]["levels"][0]["verify"].update(
                  quotient=[5]),
@@ -848,7 +902,7 @@ class TestVerify:
         ids=(
             "block_number", "block_unknown", "generators", "levels", "level_list", "level_cd",
             "level_verify",
-            "level_kind", "level_quotient", "verdict", "invariants", "seed_string",
+            "level_kind", "level_kind_unknown", "level_quotient", "verdict", "invariants", "seed_string",
             "seed_string_cd", "seed_boolean_cd", "invariants_hypersurface", "split",
             "split_h1", "level_grade_float", "level_relative_cm_integer",
             "decision_integer", "ring_float", "invariants_grade_boolean",
@@ -948,6 +1002,30 @@ class TestVerify:
         filtration = doc["verdict"]["filtration"]
         filtration["base"] = filtration["base"][::-1] + ["x1*x2*y1"]
         assert verify_certificate(doc, problem) == []
+
+    def test_block_the_input_is_not_graded_for_is_four(self, tmp_path, capsys, monkeypatch):
+        """x1^2 + y1^2 is graded but not bigraded: its cd --wrt m document
+        rechecked for the block Q reports the refusal of the recheck."""
+        path = write_problem(tmp_path, "ring m=1 n=1\nideal x1^2 + y1^2\n")
+        code, err = verify_tampered(
+            capsys, monkeypatch, path, lambda doc: doc.update(block="Q"), "--wrt", "m",
+            command="cd",
+        )
+        assert code == 4
+        assert err == (
+            f"{path}: verify: recheck raised the module is not graded for the block Q; "
+            "cd and grade are decided for bigraded modules (graded ones for m)\n"
+        )
+
+    def test_hypersurface_document_of_another_input(self):
+        """quadric_rank2's hypersurface document checked against a
+        two-generator ideal: the route does not fit, and the invariants and
+        split, which are read off the one generator, are not checked."""
+        problem = parse_problem((CORPUS / "quadric_rank2.ring").read_text())
+        doc = run("hypersurface", problem, VariableBlock.Q, 0)
+        problems = verify_certificate(doc, parse_problem("ring m=2 n=2\nideal x1*y1, x2*y2"))
+        assert problems[-1] == "route 'hypersurface-rank1' does not fit the input and levels"
+        assert not any(line.startswith(("invariants", "split")) for line in problems)
 
 
 class TestCorpus:

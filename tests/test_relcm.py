@@ -698,7 +698,9 @@ class TestCyclicFirst:
         def deciding(section, a, ell):
             got = verdict(section, a, ell)
             if searched and a is searched[0].a:  # a candidate; an invariant test has A = (1)
-                step = searched[0].mod_form(*searched[1:])
+                first, *forms = searched
+                b = sum((first.a.scaled_by(form) for form in forms), first.b)
+                step = IdealPair(first.a, b, _trusted=True)
                 assert got == slow_is_regular(step, ell), (step, ell)
                 outcomes.append(got)
                 if got:
@@ -750,7 +752,8 @@ class TestCyclicFirst:
                 l2 = _draw_form(ring, indices, rng, span)
                 finishes.clear()
                 if not _section_verdict(section, a, l2) and not finishes:
-                    assert not is_regular_form(pair.mod_form(l1), l2), (pair, l1, l2)
+                    step = IdealPair(a, b + a.scaled_by(l1), _trusted=True)
+                    assert not is_regular_form(step, l2), (pair, l1, l2)
                     witnesses += 1
         assert witnesses >= 20
 
@@ -980,3 +983,13 @@ class TestDegenerateBlocks:
         pair = IdealPair(Ideal(R22, (R22.x(1),)), Ideal(R22, (R22.x(1),)))
         with pytest.raises(ZeroModuleError):
             grade_wrt(pair, Q)
+
+    @pytest.mark.parametrize("decide", [h0_is_zero, cd_subquotient])
+    def test_zero_module_pair_rejected_by_h0_and_cd(self, R22, decide):
+        x1 = Ideal(R22, (R22.x(1),))
+        with pytest.raises(ZeroModuleError):
+            decide(IdealPair(x1, x1), Q)
+
+    def test_pair_needs_the_lower_ideal_inside(self, R22):
+        with pytest.raises(ValueError, match="lower ideal is not contained in the upper"):
+            IdealPair(Ideal(R22, (R22.x(1),)), Ideal(R22, (R22.y(1),)))
