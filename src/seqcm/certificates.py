@@ -308,12 +308,12 @@ def verify_certificate(doc: dict, problem) -> list:
     taken to run from the input ideal to (1), and the level is recomputed
     from that record alone (:func:`_level_problem`).  The verdict's
     ``offending_level`` and ``decision`` must follow from the levels as a
-    verdict derives them, its ``route`` must fit the input and levels
-    (:func:`_route_fits`), and the top-level invariants must agree with the
-    levels (seqcm) or the input's generator (hypersurface); these last
-    checks compute no basis.  Any other document must be the one its
-    command writes again from the problem, with the document's ``block``
-    and ``seed`` (:func:`_recomputed_problems`).
+    verdict derives them, its ``route`` must be the one its command's
+    decider gives for the input and levels (:func:`_decided_route`), and
+    the top-level invariants must agree with the levels (seqcm) or the
+    input's generator (hypersurface); these last checks compute no basis.
+    Any other document must be the one its command writes again from the
+    problem, with its ``block`` and ``seed`` (:func:`_recomputed_problems`).
     Ideals are compared as ideals, not as texts.  Each distinct ideal of the
     document is parsed at most once per call, and the input's own generator
     strings are taken to be the problem's ideal.
@@ -407,7 +407,7 @@ def verify_certificate(doc: dict, problem) -> list:
                 if verdict[key] != value:
                     problems.append(f"{key} is not {value}")
     with _reading(problems):
-        if not _route_fits(verdict["route"], ideal, levels):
+        if verdict["route"] != _decided_route(doc["command"], ideal, levels):
             problems.append(f"route {verdict['route']!r} does not fit the input and levels")
     if doc["command"] == "hypersurface":
         _hypersurface_problems(doc, ideal, problems)
@@ -448,22 +448,24 @@ def _recomputed_problems(doc: dict, problem, block, seed) -> list:
     return problems
 
 
-def _route_fits(route: str, ideal: Ideal, levels: list) -> bool:
-    """Whether the input ideal and the document's levels have the shape of
-    every verdict that the decider of ``route`` makes."""
+def _decided_route(command: str, ideal: Ideal, levels: list) -> str | None:
+    """The route that ``command``'s decider gives for the input ideal and
+    the document's levels, or None when it gives none: for ``seqcm`` the
+    first test of :func:`seqcm.filtration._routed_verdict` that they meet,
+    for ``hypersurface`` the rank-one route of a single generator."""
     one = len(levels) == 1
-    return {
-        Route.RELATIVE_CM.value: one and levels[0]["relative_cm"],
-        Route.UNMIXED_SHORTCUT.value: (
-            one and not levels[0]["relative_cm"] and ideal.is_monomial_ideal()
-        ),
-        Route.MONOMIAL_FILTRATION.value: ideal.is_monomial_ideal(),
-        Route.CD_LE_1.value: (
-            [(level["verify"]["kind"], level["cd"]) for level in levels]
-            == [("h0", 0), ("cyclic", 1)]
-        ),
-        Route.HYPERSURFACE_RANK1.value: len(ideal.gens) == 1,
-    }.get(route, False)
+    if command == "hypersurface":
+        route = Route.HYPERSURFACE_RANK1 if len(ideal.gens) == 1 else None
+    elif one and levels[0]["relative_cm"]:
+        route = Route.RELATIVE_CM
+    elif levels and levels[-1]["cd"] <= 1:
+        shape = [(level["verify"]["kind"], level["cd"]) for level in levels]
+        route = Route.CD_LE_1 if shape == [("h0", 0), ("cyclic", 1)] else None
+    elif ideal.is_monomial_ideal():
+        route = Route.UNMIXED_SHORTCUT if one else Route.MONOMIAL_FILTRATION
+    else:
+        route = Route.HYPERSURFACE_RANK1 if len(ideal.gens) == 1 else None
+    return route and route.value
 
 
 def _hypersurface_problems(doc: dict, ideal: Ideal, problems: list) -> None:

@@ -326,7 +326,9 @@ def run(command: str, problem: ProblemFile, block: VariableBlock, seed: int) -> 
 def _render_text(value) -> list:
     """The lines of a document value in YAML block style: a nonempty dict
     or list opens an indented block, each list item is marked ``- ``, and
-    an empty one reads ``{}`` or ``[]``, so every nesting reads apart."""
+    an empty one reads ``{}`` or ``[]``, so every nesting reads apart.  A
+    string is written bare unless it is empty or its bare text reads as
+    JSON (``"1"``, ``"null"``), so it never reads as a JSON scalar."""
     if isinstance(value, dict) and value:
         lines = []
         for key in sorted(value):
@@ -342,7 +344,12 @@ def _render_text(value) -> list:
             first, *rest = _render_text(item)
             lines += [f"- {first}", *("  " + line for line in rest)]
         return lines
-    return [value if isinstance(value, str) else json.dumps(value)]
+    if isinstance(value, str) and value:
+        try:
+            json.loads(value)
+        except ValueError:
+            return [value]
+    return [json.dumps(value)]
 
 
 def render_document(doc: dict, fmt: str) -> str:

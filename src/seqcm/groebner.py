@@ -14,17 +14,18 @@ off a grevlex basis with that variable rotated last.  Each shortcut computes
 the same ideal as the general elimination route; the test suite compares the
 two on random inputs.
 
-Reduced bases are memoized in a process-wide LRU of at most _GB_MEMO_SIZE
-bases, keyed by ring, order, and the canonical generator list; an evicted
+Reduced bases are memoized in one process-wide ``functools.lru_cache`` of at
+most _GB_MEMO_SIZE bases, keyed by the order and the ideal's presentation
+(ring and canonical generator list), so it keeps no ideal alive.  An evicted
 basis is recomputed on its next request, and the reduced basis is unique, so
-eviction changes no result.  The memo is guarded by a lock so ideals can be
-shared across threads.
+eviction changes no result.  The cache stays coherent across threads, so
+ideals can be shared between them; two threads that miss on the same key
+may both compute the basis.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
+from functools import lru_cache
 from itertools import combinations
 from typing import Iterable, Sequence
 
@@ -284,14 +285,20 @@ def buchberger(
 # ---- ideals ----------------------------------------------------------------------
 
 _GB_MEMO_SIZE = 1024  # reduced bases kept process-wide, least recently used evicted
-_GB_MEMO: OrderedDict = OrderedDict()
-_GB_LOCK = threading.Lock()
+
+
+@lru_cache(maxsize=_GB_MEMO_SIZE)
+def _reduced_basis(order: MonomialOrder, ring: BigradedRing, gens_key: tuple) -> tuple:
+    """The basis memo: the reduced basis of a presentation, rebuilt from its key."""
+    return buchberger([Polynomial._raw(ring, dict(key)) for key in gens_key], order)
 
 
 class Ideal:
-    """An ideal given by generators, with cached reduced Groebner bases."""
+    """An ideal given by generators.  Its reduced Groebner bases come from
+    the basis memo :func:`_reduced_basis`, one ``lru_cache`` keyed by order
+    and presentation, bounded by _GB_MEMO_SIZE and coherent across threads."""
 
-    __slots__ = ("ring", "gens", "_bases", "_gens_key")
+    __slots__ = ("ring", "gens", "_gens_key")
 
     def __init__(self, ring: BigradedRing, gens: Iterable[Polynomial] = ()):
         kept = []
@@ -302,7 +309,6 @@ class Ideal:
                 kept.append(g)
         object.__setattr__(self, "ring", ring)
         object.__setattr__(self, "gens", tuple(kept))
-        object.__setattr__(self, "_bases", {})
         object.__setattr__(self, "_gens_key", None)
 
     def __setattr__(self, *_):
@@ -336,23 +342,7 @@ class Ideal:
         return hash(self._presentation())
 
     def groebner_basis(self, order: MonomialOrder | None = None) -> tuple:
-        order = order or self.ring.order
-        cached = self._bases.get(order)
-        if cached is not None:
-            return cached
-        key = (order, self._presentation())
-        with _GB_LOCK:
-            cached = _GB_MEMO.get(key)
-            if cached is not None:
-                _GB_MEMO.move_to_end(key)
-        if cached is None:
-            cached = buchberger(self.gens, order)
-            with _GB_LOCK:
-                _GB_MEMO[key] = cached
-                if len(_GB_MEMO) > _GB_MEMO_SIZE:
-                    _GB_MEMO.popitem(last=False)
-        self._bases[order] = cached
-        return cached
+        return _reduced_basis(order or self.ring.order, *self._presentation())
 
     def leading_monomials(self, order: MonomialOrder | None = None) -> tuple:
         order = order or self.ring.order

@@ -413,3 +413,86 @@ def cyclic_submodule_cd(I: Ideal, u_mono, block: VariableBlock) -> int:
 
 def ideals_equal(I: Ideal, J: Ideal) -> bool:
     return I.contains_ideal(J) and J.contains_ideal(I)
+
+
+# ---- combinatorial sequential-CM oracle ------------------------------------------------
+
+
+def fraction_gauss_rank(entries):
+    """Independent rank oracle: plain Gaussian elimination over the fractions."""
+    rows = [list(map(Fraction, row)) for row in entries]
+    rank = 0
+    col = 0
+    ncols = len(rows[0]) if rows else 0
+    while rows and col < ncols:
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            col += 1
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(len(rows)):
+            if r != rank and rows[r][col]:
+                factor = rows[r][col] / rows[rank][col]
+                for c in range(col, ncols):
+                    rows[r][c] -= factor * rows[rank][c]
+        rank += 1
+        col += 1
+    return rank
+
+
+def _homology_vanishes_below_top(faces: set) -> bool:
+    """Whether the reduced homology over QQ of a simplicial complex, given by
+    all its faces (the empty one included), vanishes below its dimension."""
+    by_size = {}
+    for face in faces:
+        by_size.setdefault(len(face), []).append(face)
+    top = max(by_size)
+    ranks = {}  # size k: rank of the boundary from (k-1)-faces to (k-2)-faces
+    for k in range(1, top + 1):
+        index = {face: row for row, face in enumerate(by_size[k - 1])}
+        columns = []
+        for face in by_size[k]:
+            column = [0] * len(index)
+            for position, vertex in enumerate(sorted(face)):
+                column[index[face - {vertex}]] = (-1) ** position
+            columns.append(column)
+        ranks[k] = fraction_gauss_rank(columns)
+    return all(
+        len(by_size[k]) == ranks.get(k, 0) + ranks.get(k + 1, 0) for k in range(top)
+    )
+
+
+def _is_cohen_macaulay_complex(faces: set) -> bool:
+    """Reisner's criterion: every link, the complex's own (the link of the
+    empty face) included, has no reduced homology below its dimension."""
+    return all(
+        _homology_vanishes_below_top({g for g in faces if not g & f and g | f in faces})
+        for f in faces
+    )
+
+
+def duval_is_seq_cm(I: Ideal) -> bool:
+    """Sequential CM of S/I for a squarefree monomial ideal I, by Duval's
+    criterion: the Stanley-Reisner complex of I is sequentially CM iff each
+    pure skeleton (the faces of the i-faces, for each i) is CM (Duval,
+    Electron. J. Combin. 3, 1996).  Only the generators' exponents are
+    read; the vertices are the variables the generators use, since the
+    other variables are cone points, which keep the answer."""
+    supports = []
+    for g in I.gens:
+        (exps,) = g.terms  # a monomial generator
+        assert max(exps) == 1, "squarefree generators only"
+        supports.append(frozenset(i for i, e in enumerate(exps) if e))
+    vertices = sorted(set().union(*supports))
+    faces = {
+        frozenset(subset)
+        for size in range(len(vertices) + 1)
+        for subset in itertools.combinations(vertices, size)
+        if not any(s <= set(subset) for s in supports)
+    }
+    for size in range(1, max(map(len, faces)) + 1):
+        big = [face for face in faces if len(face) >= size]
+        skeleton = {g for g in faces if len(g) <= size and any(g <= h for h in big)}
+        if not _is_cohen_macaulay_complex(skeleton):
+            return False
+    return True

@@ -362,19 +362,23 @@ class TestTextFormat:
             ([["y1", "y2"]], [["y1"], ["y2"]]),
             ([{"cd": 1, "level": 1}], [{"cd": 1}, {"level": 1}]),
             ({"chain": []}, {"chain": {}}),
+            (["1"], [1]),
+            ("null", None),
+            ("true", True),
+            ("2.5", 2.5),
         ],
-        ids=("chain", "radicals", "levels", "empty"),
+        ids=("chain", "radicals", "levels", "empty", "one", "null", "true", "float"),
     )
     def test_nestings_render_apart(self, one, other):
-        """Two documents that differ only in how their values nest read
-        differently in the text format."""
+        """Two documents that differ only in how their values nest, or in
+        whether a scalar is a string, read differently in the text format."""
         assert render_document({"v": one}, "text") != render_document({"v": other}, "text")
 
     def test_filtration_chain_marks_its_levels(self, tmp_path, capsys):
         path = write_problem(tmp_path, "ring m=1 n=2 field=QQ\nideal x1*y1, x1*y2\n")
         code, out, _ = run_cli(capsys, "filtration", path, "--wrt", "Q")
         assert code == 0
-        assert "\nchain:\n  - - x1*y1\n    - x1*y2\n  - - x1\n  - - 1\n" in out
+        assert '\nchain:\n  - - x1*y1\n    - x1*y2\n  - - x1\n  - - "1"\n' in out
 
 
 class TestDeterminism:
@@ -519,6 +523,20 @@ class TestVerify:
         code, out, _ = run_cli(capsys, "seqcm", path, "--wrt", block, "--verify")
         assert code == 0
         assert "verified: certificate levels recomputed and agree" in out
+
+    @pytest.mark.parametrize("command", ["primdec", "filtration", "seqcm"])
+    def test_zero_ideal_verifies(self, tmp_path, capsys, command):
+        """S/(0) in 1+1 variables: its documents verify, and for Q it is
+        relative CM with cd 1 = grade 1."""
+        path = write_problem(tmp_path, "ring m=1 n=1 field=QQ\nideal 0\n")
+        code, out, _ = run_cli(
+            capsys, command, path, "--wrt", "Q", "--verify", "--format", "json"
+        )
+        assert code == 0
+        doc = json.loads(out.split("\nverified: ")[0])
+        if command == "seqcm":
+            assert doc["verdict"]["route"] == "relative-cm"
+            assert doc["invariants"] == {"cd": 1, "grade": 1, "relative_cm": True}
 
     def test_tampered_document_is_caught(self):
         problem = parse_problem("ring m=2 n=2 field=QQ\nideal x1*y1\n")
@@ -696,15 +714,27 @@ class TestVerify:
             ("quadric_rank2", "monomial-filtration"),
             ("quadric_rank2", "relative-cm"),
             ("split_monomial", "unmixed-shortcut"),
+            ("split_monomial", "hypersurface-rank1"),
+            ("ring m=2 n=2 / ideal y1", "monomial-filtration"),
+            ("ring m=2 n=2 / ideal y1", "hypersurface-rank1"),
+            ("ring m=2 n=1 / ideal x1*y1 + x2*y1", "hypersurface-rank1"),
         ],
     )
-    def test_route_that_does_not_fit_is_four(self, capsys, monkeypatch, name, route):
-        """A route whose decider could not have made the verdict: cd-le-1
-        needs an h0 level then a cyclic one with cds (0, 1), the
-        hypersurface route one generator, the monomial routes a monomial
-        input, relative-cm a single relative CM level, and unmixed-shortcut
-        a single level; no decider has the route 'guess'."""
-        path = str(CORPUS / f"{name}.ring")
+    def test_route_that_does_not_fit_is_four(
+        self, capsys, monkeypatch, tmp_path, name, route
+    ):
+        """A route that the seqcm decider does not give for the verdict: the
+        route is the first of its tests that the levels and input meet, so a
+        single relative CM level is relative-cm, then cd <= 1 is cd-le-1 (an
+        h0 level then a cyclic one with cds (0, 1)), then a monomial input is
+        unmixed-shortcut (one level) or monomial-filtration, and only then
+        does a single generator take the hypersurface route; no decider has
+        the route 'guess'.  ``name`` is a corpus file or a problem's text."""
+        if name.startswith("ring "):
+            (tmp_path / "input.ring").write_text(name + "\n")
+            path = str(tmp_path / "input.ring")
+        else:
+            path = str(CORPUS / f"{name}.ring")
         code, err = verify_tampered(
             capsys, monkeypatch, path, lambda doc: doc["verdict"].update(route=route)
         )

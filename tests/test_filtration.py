@@ -1,9 +1,11 @@
+import itertools
 import random
 
 import pytest
 
 from helpers import (
     cyclic_submodule_cd,
+    duval_is_seq_cm,
     ideals_equal,
     intersection_dimension_filtration,
     intersection_primary_decomposition,
@@ -11,7 +13,7 @@ from helpers import (
     random_monomial_ideal,
 )
 from seqcm.certificates import Route
-from seqcm.errors import NotMonomialError, UnsupportedIdealClassError
+from seqcm.errors import NotMonomialError, UnitIdealError, UnsupportedIdealClassError
 from seqcm.filtration import (
     _split_pure_power_families,
     cd_of_prime,
@@ -49,6 +51,16 @@ class TestPrimaryDecomposition:
         (comp,) = decomposition.components
         assert ideals_equal(comp.primary, Ideal(R22, (R22.parse("x1^2"),)))
         assert ideals_equal(comp.radical, Ideal(R22, (R22.x(1),)))
+
+    def test_zero_ideal_is_one_component(self, R22):
+        """(0) is its own primary component and radical, with cd 2 for Q."""
+        (comp,) = monomial_primary_decomposition(Ideal.zero(R22), Q).components
+        assert comp.primary.is_zero_ideal() and comp.radical.is_zero_ideal()
+        assert comp.cd_value == 2
+
+    def test_unit_ideal_has_no_decomposition(self, R22):
+        with pytest.raises(UnitIdealError):
+            monomial_primary_decomposition(Ideal.unit(R22), Q)
 
     def test_embedded_component_is_kept(self, R22):
         I = Ideal(R22, (R22.parse("x1^2"), R22.parse("x1*y1")))
@@ -485,3 +497,60 @@ class TestOrdinaryReduction:
             assert lhs == rhs
             tested += 1
         assert tested >= 2
+
+
+def edge_ideal(ring, edges, first=0):
+    """The edge ideal of a graph on the variables ``first``, ``first + 1``, ...
+    of ``ring``, given as pairs of vertices numbered from 0."""
+    def edge(a, b):
+        exps = [0] * ring.nvars
+        exps[first + a] = exps[first + b] = 1
+        return ring.monomial(exps)
+
+    return Ideal(ring, [edge(a, b) for a, b in edges])
+
+
+class TestDuvalOracle:
+    """The monomial route against Duval's combinatorial criterion
+    (``helpers.duval_is_seq_cm``), which shares no code with the engine."""
+
+    @pytest.mark.parametrize("length", range(3, 9))
+    def test_cycles(self, length):
+        """The edge ideal of the cycle C_n is sequentially CM exactly for
+        n = 3 and 5 (Francisco and Van Tuyl, Proc. AMS 135, 2007)."""
+        ring = BigradedRing(length // 2, length - length // 2)
+        I = edge_ideal(ring, [(i, (i + 1) % length) for i in range(length)])
+        expected = length in (3, 5)
+        assert duval_is_seq_cm(I) == expected
+        assert is_seq_cm(I, M).decision == expected
+
+    def test_random_edge_ideals(self):
+        rng = random.Random(0)
+        negatives = 0
+        for _ in range(120):
+            m, n = rng.choice([(2, 3), (3, 3), (3, 4), (4, 4)])
+            pairs = list(itertools.combinations(range(m + n), 2))
+            edges = rng.sample(pairs, rng.randint(6, 9))
+            I = edge_ideal(BigradedRing(m, n), edges)
+            expected = duval_is_seq_cm(I)
+            assert is_seq_cm(I, M).decision == expected, (m, n, edges)
+            negatives += not expected
+        assert negatives >= 10
+
+    def test_split_sum_under_q(self):
+        """For I_x + I_y with I_x in x and I_y in y, the Q verdict is the
+        ordinary one of K[y]/I_y (what ``tensor_split_check`` compares), so
+        the oracle on I_y decides it."""
+        rng = random.Random(1)
+        ring = BigradedRing(2, 5)
+        x_monomials = [ring.x(1), ring.x(2), ring.x(1) * ring.x(2)]
+        pairs = list(itertools.combinations(range(5), 2))
+        negatives = 0
+        for _ in range(60):
+            I_x = Ideal(ring, rng.sample(x_monomials, rng.randint(0, 2)))
+            edges = rng.sample(pairs, rng.randint(4, 7))
+            I_y = edge_ideal(ring, edges, first=ring.m)
+            expected = duval_is_seq_cm(I_y)
+            assert is_seq_cm(I_x + I_y, Q).decision == expected, (I_x.gens, edges)
+            negatives += not expected
+        assert negatives >= 5

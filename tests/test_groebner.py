@@ -126,8 +126,6 @@ class TestMembership:
     def test_constant_needs_no_basis(self, R22, monkeypatch):
         """A homogeneous ideal holds a constant only when a generator is
         constant, so deciding it runs no Buchberger, even with an empty memo."""
-        from collections import OrderedDict
-
         runs = []
 
         def counting(*args):
@@ -135,7 +133,7 @@ class TestMembership:
             return buchberger(*args)
 
         monkeypatch.setattr(groebner, "buchberger", counting)
-        monkeypatch.setattr(groebner, "_GB_MEMO", OrderedDict())
+        groebner._reduced_basis.cache_clear()
         assert not Ideal(R22, (R22.parse("x1*y1 + x2*y2"),)).contains(R22.one())
         assert runs == []
 
@@ -184,14 +182,17 @@ class TestIntersect:
         is_unit_ideal answers without a basis; any other ideal still asks
         for one."""
         I = Ideal(R22, (R22.parse("x1*y1 + x2*y2"), R22.parse("x1^2 - y1*y2")))
-        memo = list(groebner._GB_MEMO)
+        requests = groebner._reduced_basis.cache_info()
         assert not I.is_unit_ideal()
-        assert list(groebner._GB_MEMO) == memo
-        assert I._bases == {}
+        assert groebner._reduced_basis.cache_info() == requests
         for text in ("x1, x1 - 1", "x1*y1 - 1, x1", "y2^2 - 1, y2"):
             inhomogeneous = Ideal(R22, [R22.parse(g) for g in text.split(", ")])
             assert inhomogeneous.is_unit_ideal()
         assert not Ideal(R22, (R22.parse("x1 - 1"), R22.parse("y1"))).is_unit_ideal()
+
+    def test_zero_is_absorbing(self, R22):
+        I = Ideal(R22, (R22.parse("x1*y1 + x2*y2"),))
+        assert intersect(I, Ideal.zero(R22)).is_zero_ideal()
 
     def test_coprime_principal(self, R22):
         got = intersect(Ideal(R22, (R22.x(1),)), Ideal(R22, (R22.y(1),)))
@@ -223,6 +224,10 @@ class TestQuotientAndSaturation:
 
     def test_colon_by_unit(self, R22, two_planes_ideal):
         assert ideals_equal(ideal_quotient(two_planes_ideal, R22.one()), two_planes_ideal)
+        assert ideal_quotient(two_planes_ideal, R22.constant(3)) is two_planes_ideal
+
+    def test_colon_of_zero(self, R22):
+        assert ideal_quotient(Ideal.zero(R22), R22.x(1)).is_zero_ideal()
 
     def test_colon_containments(self, R22):
         rng = random.Random(31)
@@ -401,35 +406,43 @@ class TestKernel:
         assert MonomialOrder.variable_last(last, R22.nvars) == R22.order
         assert MonomialOrder.variable_last(0, R22.nvars) == MonomialOrder(last_var=0)
         I = Ideal(R22, (R22.parse("x1*y2 + x2*y1"), R22.parse("y2^2 - x1*y1")))
+        memo = groebner._reduced_basis
+        memo.cache_clear()
         colon_by_variable(I, last)
         I.contains(R22.parse("x1*y1"))
-        assert list(I._bases) == [R22.order]
+        # one miss (the colon's basis), then one hit (the grevlex request)
+        assert memo.cache_info()[:2] == (1, 1)
 
     def test_basis_memo_is_a_bounded_lru(self):
         bound = groebner._GB_MEMO_SIZE
+        memo = groebner._reduced_basis
+        assert memo.cache_parameters()["maxsize"] == bound
+        memo.cache_clear()
         ring = BigradedRing(1, 1)
         x, y = ring.x(1), ring.y(1)
 
         def basis(k):
             """A fresh instance each time, so only the process-wide memo can hit."""
             got = Ideal(ring, (x + ring.constant(k) * y,)).groebner_basis()
-            assert len(groebner._GB_MEMO) <= bound
+            assert memo.cache_info().currsize <= bound
             return got
 
-        def memoised(k):
-            key = Ideal(ring, (x + ring.constant(k) * y,))._presentation()
-            return any(entry[1] == key for entry in groebner._GB_MEMO)
+        def hit(k):
+            """Whether the request for ideal k hits; a hit renews the entry."""
+            hits = memo.cache_info().hits
+            basis(k)
+            return memo.cache_info().hits == hits + 1
 
         first = basis(1)
         for k in range(2, bound + 1):
             basis(k)
-        assert memoised(1)
-        assert basis(1) == first  # a hit makes the first ideal the most recent
-        basis(bound + 1)
-        assert memoised(1) and not memoised(2)
+        assert memo.cache_info().currsize == bound
+        assert hit(1)  # a hit makes the first ideal the most recent
+        basis(bound + 1)  # evicts the oldest entry, ideal 2
+        assert hit(1) and not hit(2)
         for k in range(bound + 2, 2 * bound + 2):
             basis(k)
-        assert not memoised(1)
+        assert not hit(1)
         assert basis(1) == first == (x + y,)
 
 

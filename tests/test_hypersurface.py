@@ -3,7 +3,12 @@ from fractions import Fraction
 
 import pytest
 
-from helpers import ideals_equal, random_bihomogeneous, random_split_product
+from helpers import (
+    fraction_gauss_rank,
+    ideals_equal,
+    random_bihomogeneous,
+    random_split_product,
+)
 from seqcm.certificates import Route
 from seqcm.errors import NotBihomogeneousError, ZeroPolynomialError
 from seqcm.filtration import dimension_filtration, is_seq_cm
@@ -35,28 +40,6 @@ def stats_invariants(f, seed=0):
         assert grade == grade_wrt(pair, block, seed).grade, (str(f), block)
         got += [grade, cd]
     return tuple(got)
-
-
-def fraction_gauss_rank(entries):
-    """Independent rank oracle: plain Gaussian elimination over the fractions."""
-    rows = [list(map(Fraction, row)) for row in entries]
-    rank = 0
-    col = 0
-    ncols = len(rows[0]) if rows else 0
-    while rows and col < ncols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if pivot is None:
-            col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                factor = rows[r][col] / rows[rank][col]
-                for c in range(col, ncols):
-                    rows[r][c] -= factor * rows[rank][c]
-        rank += 1
-        col += 1
-    return rank
 
 
 class TestCoefficientMatrix:

@@ -160,6 +160,13 @@ class TestTextSyntax:
         assert err.value.line == 1
         assert err.value.column == 9
 
+    def test_position_on_a_later_line(self, R22):
+        """A newline inside the text moves the position to the next line,
+        whose columns count from 1 again."""
+        with pytest.raises(ParseError) as err:
+            R22.parse("x1 +\n  y9")
+        assert (err.value.line, err.value.column) == (2, 3)
+
     def test_trailing_garbage(self, R22):
         with pytest.raises(ParseError):
             R22.parse("x1 )")

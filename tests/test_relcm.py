@@ -135,6 +135,10 @@ class TestRegularForms:
         assert not is_regular_form(pair, R22.y(1))
         assert not is_regular_form(pair, R22.y(2))
 
+    def test_zero_form_is_not_regular(self, R22):
+        pair = IdealPair.cyclic(Ideal(R22, (R22.parse("x1*y1"),)))
+        assert not is_regular_form(pair, R22.zero())
+
     def test_first_step_of_the_grade_search(self, R22):
         rng = random.Random(120)
         checked = 0
