@@ -21,7 +21,7 @@ from .errors import CertificateVerificationError, SeqcmError
 from .groebner import Ideal, intersect, saturation
 from .poly import parse_polynomial
 from .relcm import CdGradeReport, IdealPair, VariableBlock, is_relative_cm
-from .relcm import _principal_cd_grade
+from .relcm import _echelon, _principal_cd_grade
 
 
 class Route(Enum):
@@ -237,6 +237,25 @@ def _level_problem(spec: VerifySpec, d_i: Ideal, below: Ideal, want, block, seed
     return None if got == want else f"recomputed {got}, document says {want}"
 
 
+def _sequence_problem(forms: Ideal, count: int, grade: int, block) -> str | None:
+    """What is wrong with a level's ``regular_sequence`` of ``count``
+    strings, parsed as the generators of ``forms``; None if nothing.  It
+    must hold ``grade`` linearly independent nonzero linear forms in the
+    block's variables.  This runs no search: whether the forms are a
+    regular sequence on the level is not checked."""
+    if count != grade:
+        return f"regular_sequence has {count} forms, grade is {grade}"
+    variables = set(block.variable_indices(forms.ring))
+    if len(forms.gens) < count or not all(  # parsing drops a zero form
+        sum(e) == 1 and e.index(1) in variables for g in forms.gens for e in g.terms
+    ):
+        return "regular_sequence is not of nonzero linear forms in the block's variables"
+    rows = [{e.index(1): c for e, c in g.terms.items()} for g in forms.gens]
+    if len(_echelon(rows, forms.ring.field)) < count:
+        return "regular_sequence is not linearly independent"
+    return None
+
+
 class _BadField(Exception):
     """A field that the check reads is missing or of the wrong JSON type;
     the one argument says which, as a disagreement."""
@@ -306,7 +325,9 @@ def verify_certificate(doc: dict, problem) -> list:
     ideal and end at (1) with strictly increasing level cds.  Each level's
     verify record must present the level over the one below it, the chain
     taken to run from the input ideal to (1), and the level is recomputed
-    from that record alone (:func:`_level_problem`).  The verdict's
+    from that record alone (:func:`_level_problem`).  Each level's
+    ``regular_sequence`` must be ``grade`` linearly independent linear forms
+    in the block's variables (:func:`_sequence_problem`).  The verdict's
     ``offending_level`` and ``decision`` must follow from the levels as a
     verdict derives them, its ``route`` must be the one its command's
     decider gives for the input and levels (:func:`_decided_route`), and
@@ -400,6 +421,15 @@ def verify_certificate(doc: dict, problem) -> list:
                 problem = f"recheck raised {exc}"
             if problem is not None:
                 problems.append(tag + problem)
+        with _reading(problems, tag):
+            if block is not None:  # else reported above
+                texts = level["regular_sequence"]
+                try:
+                    problem = _sequence_problem(parse(texts), len(texts), level["grade"], block)
+                except (SeqcmError, ValueError) as exc:
+                    problem = f"cannot parse regular_sequence: {exc}"
+                if problem is not None:
+                    problems.append(tag + problem)
     with _reading(problems):
         offending = _first_failing_level(level["relative_cm"] for level in levels)
         for key, value in {"offending_level": offending, "decision": offending is None}.items():

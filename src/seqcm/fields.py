@@ -1,9 +1,13 @@
 """Exact coefficient fields: the rationals and prime residue fields.
 
-Rational coefficients are plain ``fractions.Fraction`` values; prime-field
-coefficients are :class:`ModP` wrappers around a canonical residue in
-``[0, p)``.  Both kinds support the arithmetic operators directly, so the
-polynomial layer never needs to know which field it is working over.
+A rational coefficient is a Python ``int`` when it is an integer and a
+``fractions.Fraction`` otherwise; prime-field coefficients are :class:`ModP`
+wrappers around a canonical residue in ``[0, p)``.  All of them support
+``+``, ``-`` and ``*`` directly, and each field divides through its
+``inverse`` (an ``int / int`` would be a float), so the polynomial layer
+never needs to know which field it is working over.  A product of two
+Fractions may be an integral Fraction; it equals and hashes as the int, so
+no product is normalised.
 
 The rationals are the default.  The generic-coordinate arguments used by the
 grade and regularity procedures need "enough" field elements, so a prime
@@ -93,25 +97,31 @@ def _is_prime(p: int) -> bool:
 
 @dataclass(frozen=True)
 class RationalField:
-    """The field of rational numbers, elements are ``Fraction`` values."""
+    """The field of rational numbers.  An element is an ``int`` when it is
+    an integer and a ``Fraction`` when it is not; :meth:`of` and
+    :meth:`inverse` return ints for integral values."""
 
     name = "QQ"
+    zero = 0
+    one = 1
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def of(self, value) -> Fraction:
-        """Coerce an int, Fraction, or ``p/q`` string to a canonical element."""
+    def of(self, value) -> int | Fraction:
+        """Coerce an int, Fraction, or ``p/q`` string to an element, an int
+        when it is integral."""
+        if isinstance(value, int):
+            return int(value)
+        if isinstance(value, str):
+            value = Fraction(value)
         if isinstance(value, Fraction):
-            return value
-        if isinstance(value, (int, str)):
-            return Fraction(value)
+            return value.numerator if value.denominator == 1 else value
         raise TypeError(f"cannot coerce {value!r} into QQ")
+
+    def inverse(self, x) -> int | Fraction:
+        """1/x for a nonzero element x."""
+        if isinstance(x, int):
+            return x if x == 1 or x == -1 else Fraction(1, x)
+        inv = 1 / x
+        return inv.numerator if inv.denominator == 1 else inv
 
     def __str__(self):
         return self.name
@@ -140,6 +150,10 @@ class PrimeField:
     @property
     def one(self) -> ModP:
         return ModP(1, self.p)
+
+    def inverse(self, x: ModP) -> ModP:
+        """1/x for a nonzero element x."""
+        return self.one / x
 
     def of(self, value) -> ModP:
         if isinstance(value, ModP):

@@ -91,7 +91,7 @@ def normal_form(
         if g:
             lm = g.leading_monomial(keyfn)
             lc = g.terms[lm]
-            body = g.terms if lc == ring.field.one else g.scale(ring.field.one / lc).terms
+            body = g.terms if lc == ring.field.one else g.scale(ring.field.inverse(lc)).terms
             reducers.append((lm, body))
     out = _reduce_terms(f.terms, reducers, keyfn, ring.field.zero)
     return Polynomial._raw(ring, out)
@@ -104,7 +104,7 @@ def exact_div(g: Polynomial, f: Polynomial) -> Polynomial:
     ring = g.ring
     keyfn = ring.sort_key()
     lmf = f.leading_monomial(keyfn)
-    lcf = f.terms[lmf]
+    inv = ring.field.inverse(f.terms[lmf])
     p = dict(g.terms)
     quotient = {}
     while p:
@@ -113,7 +113,7 @@ def exact_div(g: Polynomial, f: Polynomial) -> Polynomial:
         if not mono_divides(lmf, m):
             raise ValueError(f"{f} does not divide {g}")
         shift = mono_div(m, lmf)
-        q = c / lcf
+        q = c * inv
         quotient[shift] = q
         for bm, bc in f.terms.items():
             if bm == lmf:
@@ -130,7 +130,7 @@ def exact_div(g: Polynomial, f: Polynomial) -> Polynomial:
 # ---- Buchberger ------------------------------------------------------------------
 
 
-def _monic_terms(terms: dict, one) -> tuple:
+def _monic_terms(terms: dict, field) -> tuple:
     """(lead, monic terms) of a remainder from :func:`_reduce_terms`.
 
     The remainder collects its terms in descending order, so its first key
@@ -138,8 +138,8 @@ def _monic_terms(terms: dict, one) -> tuple:
     """
     lm = next(iter(terms))
     lc = terms[lm]
-    if lc != one:
-        inv = one / lc
+    if lc != field.one:
+        inv = field.inverse(lc)
         terms = {e: c * inv for e, c in terms.items()}
     return lm, terms
 
@@ -250,7 +250,7 @@ def buchberger(
             raise RingMismatchError("generators from different rings")
     order = order or ring.order
     keyfn = order.sort_key(ring.nvars)
-    one = ring.field.one
+    field = ring.field
 
     if all(p.is_monomial() for p in polys):
         # Monomial ideals: the reduced basis is the minimal generator set,
@@ -260,16 +260,16 @@ def buchberger(
             key=keyfn,
             reverse=True,
         )
-        return tuple(Polynomial._raw(ring, {m: one}) for m in monos)
+        return tuple(Polynomial._raw(ring, {m: field.one}) for m in monos)
 
     G: list[tuple] = []  # (lead, monic terms); G doubles as the reducer list
     B: list[tuple] = []
-    zero = ring.field.zero
+    zero = field.zero
 
     for f in sorted(polys, key=lambda p: keyfn(p.leading_monomial(keyfn))):
         r = _reduce_terms(f.terms, G, keyfn, zero)
         if r:
-            _update_pairs(G, B, *_monic_terms(r, one), keyfn)
+            _update_pairs(G, B, *_monic_terms(r, field), keyfn)
 
     while B:
         best = min(range(len(B)), key=lambda k: B[k][0])
@@ -277,7 +277,7 @@ def buchberger(
         (li, gi), (lj, gj) = G[i], G[j]
         r = _reduce_terms(_spoly_terms(gi, li, gj, lj), G, keyfn, zero)
         if r:
-            _update_pairs(G, B, *_monic_terms(r, one), keyfn)
+            _update_pairs(G, B, *_monic_terms(r, field), keyfn)
 
     return _autoreduce(G, keyfn, ring)
 

@@ -94,12 +94,12 @@ def rank_one_split(f: Polynomial):
     ring = f.ring
     lead = f.leading_monomial()
     x0, y0 = _parts(ring, lead)
-    inv = ring.field.one / f.terms[lead]
+    inv = ring.field.inverse(f.terms[lead])
     h1 = Polynomial._raw(ring, {x: row[y0] * inv for x, row in rows.items() if y0 in row})
     h2 = Polynomial._raw(ring, rows[x0])
     if h1 * h2 == f:
         lc = h2.leading_coefficient()
-        return SplitWitness(h1.scale(lc), h2.scale(ring.field.one / lc))
+        return SplitWitness(h1.scale(lc), h2.scale(ring.field.inverse(lc)))
     if exact_rank(rows.values(), ring.field) <= 1:
         raise CertificateVerificationError("rank <= 1 but the split failed to expand")
     return None

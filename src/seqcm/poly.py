@@ -326,10 +326,10 @@ class Polynomial:
         if not self.terms:
             return self
         lc = self.leading_coefficient(keyfn)
-        one = self.ring.field.one
-        if lc == one:
+        field = self.ring.field
+        if lc == field.one:
             return self
-        return self.scale(one / lc)
+        return self.scale(field.inverse(lc))
 
     def sorted_terms(self) -> list:
         """(monomial, coefficient) pairs in descending default order."""

@@ -382,7 +382,7 @@ def _echelon(rows, field) -> dict:
             col = max(row)
             pivot = pivots.get(col)
             if pivot is None:
-                inv = field.one / row[col]
+                inv = field.inverse(row[col])
                 pivots[col] = {k: v * inv for k, v in row.items()}
                 break
             _subtract_row(row, row[col], pivot, field.zero)
@@ -433,7 +433,7 @@ def _linear_form(ring: BigradedRing, indices, coeffs) -> Polynomial:
 def _pivot_substitution(ring: BigradedRing, ell: Polynomial, pivot: int) -> Polynomial:
     """The replacement making the coordinate change send l to its pivot variable."""
     coeffs = {exps.index(1): c for exps, c in ell.terms.items()}
-    inv = ring.field.one / coeffs.pop(pivot)
+    inv = ring.field.inverse(coeffs.pop(pivot))
     others = [-c * inv for c in coeffs.values()]
     return _linear_form(ring, (pivot, *coeffs), (inv, *others))
 

@@ -200,15 +200,15 @@ def dense_membership(f: Polynomial, I: Ideal, max_degree: int = 6) -> bool:
         if degree > max_degree:
             return False
         columns = [
-            g.mul_term(Fraction(1), mu)
+            g.mul_term(1, mu)
             for g in gens
             if g.total_degree() <= degree
             for mu in monomials_of_degree(I.ring, degree - g.total_degree())
         ]
         basis = dict.fromkeys([e for col in columns for e in col.terms] + list(f_d))
-        zero = Fraction(0)
+        # Fraction rows: the elimination divides, and QQ holds integers as ints.
         rows = [
-            [col.terms.get(e, zero) for col in columns] + [f_d.get(e, zero)]
+            [Fraction(col.terms.get(e, 0)) for col in columns] + [Fraction(f_d.get(e, 0))]
             for e in basis
         ]
         if not _solvable(rows):
@@ -496,3 +496,27 @@ def duval_is_seq_cm(I: Ideal) -> bool:
         if not _is_cohen_macaulay_complex(skeleton):
             return False
     return True
+
+
+def polarization(I: Ideal) -> Ideal:
+    """The polarization of a monomial ideal: each variable v whose largest
+    exponent in the generators is a becomes a variables v_1..v_a, kept in
+    v's block (one copy for a variable the generators do not use), and v^e
+    becomes v_1*...*v_e.  The result is squarefree, and S/I is sequentially
+    CM iff its polarization is (Faridi, "Monomial ideals via square-free
+    monomial ideals", 2006)."""
+    ring = I.ring
+    exponents = []
+    for g in I.gens:
+        (exps,) = g.terms  # a monomial generator
+        exponents.append(exps)
+    tops = [max([1] + [exps[i] for exps in exponents]) for i in range(ring.nvars)]
+    starts = list(itertools.accumulate([0] + tops))
+    polarized = BigradedRing(starts[ring.m], starts[-1] - starts[ring.m])
+    gens = []
+    for exps in exponents:
+        new = [0] * polarized.nvars
+        for i, e in enumerate(exps):
+            new[starts[i] : starts[i] + e] = [1] * e
+        gens.append(polarized.monomial(new))
+    return Ideal(polarized, gens)

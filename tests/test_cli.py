@@ -833,6 +833,36 @@ class TestVerify:
         assert code == 4
         assert err.startswith(f"{path}: verify: {message}")
 
+    @pytest.mark.parametrize("command", ["seqcm", "hypersurface"])
+    @pytest.mark.parametrize(
+        "forms,message",
+        [
+            (["-x2", "x1^2"], "not of nonzero linear forms in the block's variables"),
+            (["-x2", "y1"], "not of nonzero linear forms in the block's variables"),
+            (["-x2", "0"], "not of nonzero linear forms in the block's variables"),
+            (["-x2"], "has 1 forms, grade is 2"),
+            (["-x2", "-x2"], "not linearly independent"),
+            (["-x2", "2*x2"], "not linearly independent"),
+            ("-x2", "cannot parse regular_sequence: '-x2' is not a list"),
+        ],
+        ids=("nonlinear", "other_block", "zero", "one_too_few", "repeated", "dependent",
+             "not_a_list"),
+    )
+    def test_forged_regular_sequence_is_four(self, capsys, monkeypatch, command, forms, message):
+        """split_binomial's second level under P has grade 2 and the regular
+        sequence (-x2, x1 + x2).  Each level's sequence must be `grade`
+        linearly independent nonzero linear forms in the block's variables,
+        which is read off the forms without a search."""
+        path = str(CORPUS / "split_binomial.ring")
+
+        def forge(doc):
+            doc["verdict"]["filtration"]["levels"][1]["regular_sequence"] = forms
+
+        code, err = verify_tampered(capsys, monkeypatch, path, forge, "--wrt", "P", command=command)
+        assert code == 4
+        assert err.startswith(f"{path}: verify: level 2: ")
+        assert message in err
+
     @pytest.mark.parametrize(
         "name,command,tamper,message",
         [
@@ -846,12 +876,17 @@ class TestVerify:
                 lambda doc: doc["verdict"]["filtration"]["levels"][0].pop("verify"),
                 "level 1: verify",
             ),
+            (
+                "two_planes", "seqcm",
+                lambda doc: first_level(doc).pop("regular_sequence"),
+                "level 1: regular_sequence",
+            ),
             ("quadric_rank2", "hypersurface", lambda doc: doc.pop("split"), "split"),
             ("two_planes", "cd", lambda doc: doc.pop("invariants"), "invariants"),
         ],
         ids=(
-            "route", "decision", "invariants", "seed", "block", "level_verify", "split",
-            "cd_invariants",
+            "route", "decision", "invariants", "seed", "block", "level_verify",
+            "level_regular_sequence", "split", "cd_invariants",
         ),
     )
     def test_missing_field_is_four(self, capsys, monkeypatch, name, command, tamper, message):

@@ -10,6 +10,7 @@ from helpers import (
     intersection_dimension_filtration,
     intersection_primary_decomposition,
     monomials_up_to,
+    polarization,
     random_monomial_ideal,
 )
 from seqcm.certificates import Route
@@ -554,3 +555,44 @@ class TestDuvalOracle:
             assert is_seq_cm(I_x + I_y, Q).decision == expected, (I_x.gens, edges)
             negatives += not expected
         assert negatives >= 5
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "x1^2*y2, x2*y1^2, x1*y1, x2*y2^2",
+            "x2*y1, x1^2*x2, x1*y2, y1^2*y2^2",
+            "x2^2*y1^2, x1*x2, x1*y2^2, y1*y2^2",
+            "x1*y1^2, x1*x2^2, y1^2*y2^2, x2*y2",
+            "x1^2*x2, x1^2*y2, x2*y1^2, y1*y2",
+        ],
+    )
+    def test_polarized_negatives(self, text):
+        """Ideals that are not sequentially CM, from a seeded draw of the
+        family of :meth:`test_polarization_keeps_the_verdict`, where they
+        are rare."""
+        ring = BigradedRing(2, 2)
+        I = Ideal(ring, [ring.parse(g) for g in text.split(", ")])
+        polarized = polarization(I)
+        assert not duval_is_seq_cm(polarized)
+        assert not is_seq_cm(polarized, M).decision
+        assert not is_seq_cm(I, M).decision
+
+    def test_polarization_keeps_the_verdict(self):
+        """A non-squarefree monomial ideal and its polarization have one
+        verdict under m, which the oracle decides on the polarization: 3-4
+        generators in 2+2 variables, each a product of two variables with
+        exponents 1-2."""
+        rng = random.Random(3)
+        ring = BigradedRing(2, 2)
+        for _ in range(40):
+            gens = []
+            for _ in range(rng.randint(3, 4)):
+                exps = [0] * ring.nvars
+                for i in rng.sample(range(ring.nvars), 2):
+                    exps[i] = rng.randint(1, 2)
+                gens.append(ring.monomial(exps))
+            I = Ideal(ring, gens)
+            polarized = polarization(I)
+            expected = duval_is_seq_cm(polarized)
+            assert is_seq_cm(polarized, M).decision == expected, I.gens
+            assert is_seq_cm(I, M).decision == expected, I.gens

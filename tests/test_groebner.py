@@ -34,7 +34,7 @@ def s_polynomial(f, g):
     def cofactor_times(p):
         lm = p.leading_monomial()
         shift = tuple(a - b for a, b in zip(lcm, lm))
-        return p.mul_term(p.ring.field.one / p.terms[lm], shift)
+        return p.mul_term(p.ring.field.inverse(p.terms[lm]), shift)
 
     return cofactor_times(f) - cofactor_times(g)
 
