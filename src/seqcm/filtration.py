@@ -310,8 +310,7 @@ def _monomial_verdict(
             )
         primes = tuple(c.radical for c in piece.components)
         levels.append(FiltrationLevel(d_ideal, level_report, verify, primes))
-    unmixed = len(levels) == 1 and not report.relative_cm
-    route = Route.UNMIXED_SHORTCUT if unmixed else Route.MONOMIAL_FILTRATION
+    route = Route.UNMIXED_SHORTCUT if len(levels) == 1 else Route.MONOMIAL_FILTRATION
     return SeqCMVerdict(CMFiltration(I, tuple(levels)), route)
 
 
@@ -342,12 +341,7 @@ def _routed_verdict(
         return _monomial_verdict(I, block, seed, report)
     gens = I.gens
     if len(gens) == 1 and gens[0].is_bihomogeneous():
-        if block is VariableBlock.M:
-            # A hypersurface ring is Cohen-Macaulay, so the classical case
-            # never reaches this branch; be loud if it somehow does.
-            raise UnsupportedIdealClassError(
-                "principal ideals with block m should be relative CM"
-            )
+        # S/fS is Cohen-Macaulay, so block m returned relative CM above.
         return classify_hypersurface(gens[0], block, seed, _report=report)
     raise UnsupportedIdealClassError(
         "supported classes: monomial ideals, principal bihomogeneous ideals, "

@@ -42,6 +42,7 @@ from .certificates import (
 from .errors import (
     CertificateVerificationError,
     UnitIdealError,
+    UnsupportedIdealClassError,
     ZeroPolynomialError,
 )
 from .groebner import Ideal
@@ -183,7 +184,7 @@ def classify_hypersurface(
     none.
     """
     if block is VariableBlock.M:
-        raise ValueError("classification applies to the P and Q blocks")
+        raise UnsupportedIdealClassError("classification applies to the P and Q blocks")
     a, b = f.bidegree()
     I = _proper_principal(f)
     if isinstance(_report, HypersurfaceReport):

@@ -3,7 +3,8 @@ from pathlib import Path
 
 import pytest
 
-from seqcm.cli import main, parse_problem, render_document, run, verify_certificate
+import corpus_sweep
+from seqcm.cli import COMMANDS, main, parse_problem, render_document, run, verify_certificate
 from seqcm.errors import ParseError
 from seqcm.relcm import VariableBlock
 
@@ -1114,3 +1115,41 @@ class TestCorpus:
                 assert got == entry["level_cds"], label
             for key, value in entry.get("invariants", {}).items():
                 assert doc["invariants"][key] == value, label
+
+    def test_sweep_covers_every_command_and_file(self):
+        """The byte-identity sweep runs every command over every corpus and
+        fixture file, so a new command or file cannot skip it unnoticed."""
+        assert corpus_sweep.COMMANDS == COMMANDS
+        runs = list(corpus_sweep.runs())
+        stems = [stem for stem, _, _ in runs]
+        assert len(stems) == len(set(stems))
+        root = CORPUS.parent.parent
+        rings = [*CORPUS.glob("*.ring"), *(CORPUS.parent / "fixtures").glob("*.ring")]
+        assert {argv[1] for _, argv, _ in runs} == {
+            ring.relative_to(root).as_posix() for ring in rings
+        }
+        for stem, command, block in corpus_sweep.MUST_DECIDE:
+            assert (CORPUS / f"{stem}.ring").is_file(), stem
+            assert command in COMMANDS and block in corpus_sweep.BLOCKS
+        decided = sum(decide for _, _, decide in runs)
+        assert decided == len(corpus_sweep.MUST_DECIDE) * (len(corpus_sweep.SEEDS) + 1)
+
+    def test_batches_of_the_sweep_decide(self, capsys):
+        """One invocation per command and block over all the corpus files
+        the sweep's MUST_DECIDE table gives it: every file, after a success
+        too, gets its document and its verified line, in the sorted order,
+        with the basis memo shared between files."""
+        batches = {}
+        for stem, command, block in corpus_sweep.MUST_DECIDE:
+            batches.setdefault((command, block), []).append(str(CORPUS / f"{stem}.ring"))
+        verified = "verified: certificate levels recomputed and agree\n"
+        for (command, block), files in sorted(batches.items()):
+            label = f"{command} --wrt {block}"
+            code, out, err = run_cli(
+                capsys, command, *files, "--wrt", block, "--verify", "--format", "json"
+            )
+            assert (code, err) == (0, ""), label
+            assert out.endswith(verified), label
+            documents = [json.loads(doc) for doc in out.split(verified)[:-1]]
+            assert [doc["file"] for doc in documents] == sorted(files), label
+            assert {doc["command"] for doc in documents} == {command}, label

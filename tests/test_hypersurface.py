@@ -10,7 +10,11 @@ from helpers import (
     random_split_product,
 )
 from seqcm.certificates import Route
-from seqcm.errors import NotBihomogeneousError, ZeroPolynomialError
+from seqcm.errors import (
+    NotBihomogeneousError,
+    UnsupportedIdealClassError,
+    ZeroPolynomialError,
+)
 from seqcm.filtration import dimension_filtration, is_seq_cm
 from seqcm.groebner import Ideal
 from seqcm.hypersurface import (
@@ -209,6 +213,12 @@ class TestClassify:
         assert verdict.route is Route.HYPERSURFACE_RANK1
         level = verdict.filtration.levels[0]
         assert (level.grade, level.cd) == (1, 2)
+
+    def test_block_m_is_unsupported(self, segre_quadric):
+        """Block m is an input-class rejection, a SeqcmError like every
+        other one, not a ValueError."""
+        with pytest.raises(UnsupportedIdealClassError):
+            classify_hypersurface(segre_quadric, VariableBlock.M)
 
     def test_is_seq_cm_verdict_equals_classify(self, R22, segre_quadric):
         """Both deciders give one verdict on the Segre quadric; verdicts
